@@ -37,18 +37,6 @@ func (m *Manager) noteGateExit(vmID int) {
 	m.mu.Unlock()
 }
 
-// GateEpochs reports a guest's gate-path epoch counters: admitted inbound
-// crossings and completed outbound crossings. entries > exits on a dead
-// guest means it died inside a gate or sub context.
-func (m *Manager) GateEpochs(guest *hv.VM) (entries, exits uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if gs := m.guests[guest.ID()]; gs != nil {
-		return gs.gateEntries, gs.gateExits
-	}
-	return 0, 0
-}
-
 // crashMidGate services an injected ClassCrashMidGate firing: the guest
 // vCPU dies where it stands, inside the sub context.
 func (m *Manager) crashMidGate(vm *hv.VM, in *fault.Injection) {

@@ -579,7 +579,6 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 		rs.flushes.Add(1)
 		rs.flushed.Add(uint64(n))
 		rs.recordBatch(n)
-		rec.RecordRingBatch(h.g.vm.Name(), h.objName, n)
 	}
 	if rec != nil {
 		tFn = v.Clock().Now()
@@ -1029,7 +1028,6 @@ func (m *Manager) drainRing(a *Attachment, rs *ringState, limit int) (int, error
 		rs.drains.Add(1)
 		rs.drained.Add(uint64(n))
 		rs.recordBatch(n)
-		m.rec.RecordRingBatch(a.guest.Name(), a.obj.name, n)
 	}
 	return n, nil
 }

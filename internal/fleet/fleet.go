@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"github.com/elisa-go/elisa/internal/core"
@@ -215,15 +216,42 @@ type pendingOp struct {
 	fn      uint64
 }
 
+// accounting is a tenant's portable state: everything Evict carries off
+// one scheduler and Adopt restores on another. Tenant embeds it and
+// TenantState carries it, so a migration moves it in one assignment.
+type accounting struct {
+	arrival  workload.Arrival
+	queue    []pendingOp // pending ops in arrival order
+	rr       int         // round-robin cursor over handles
+	maxQueue int
+	coreTime simtime.Duration
+	hist     *stats.Histogram
+
+	submitted, completed, fnErrors, lost uint64
+	// verdicts counts the overload verdicts issued for the tenant's
+	// arrivals and ring completions, indexed by verdict (admit to busy).
+	verdicts [overload.VerdictBusy + 1]uint64
+
+	// overload control (nil / false when the knobs are off): bucket
+	// rate-limits arrivals; breaker quarantines fault-storming tenants,
+	// and quarantined is its open state as of the last pump tick. The
+	// breaker travels with the tenant, so migrating does not lift a
+	// quarantine.
+	bucket      *overload.TokenBucket
+	breaker     *overload.Breaker
+	quarantined bool
+}
+
 // Tenant is one admitted guest plus its scheduling state.
 type Tenant struct {
+	accounting
+
 	spec    TenantSpec
 	index   int
 	vm      *hv.VM
 	guest   *core.Guest
 	handles []*core.Handle
 	objIdx  map[string]int // object name -> handle index (trace replay)
-	arrival workload.Arrival
 
 	// ring mode (Config.RingDepth > 0): one caller per handle, plus a
 	// per-ring FIFO of arrival stamps for ops submitted but not yet seen
@@ -231,7 +259,6 @@ type Tenant struct {
 	rings    []*core.RingCaller
 	ringPend [][]simtime.Time
 
-	rr     int // round-robin cursor over handles
 	pass   uint64
 	stride uint64
 
@@ -241,21 +268,11 @@ type Tenant struct {
 	// instance-level buffer is single-writer.
 	comps [32]shm.Comp
 
-	queue     []pendingOp // pending ops in arrival order
-	submitted uint64
-	completed uint64
-	dropped   uint64
-	fnErrors  uint64
-	maxQueue  int
-	coreTime  simtime.Duration
-	hist      *stats.Histogram
-
 	// chaos lifecycle: a crashed tenant stops being scheduled (its queue
 	// is discarded into lost); recovered marks that the manager has
 	// quarantined and reclaimed its attachments.
 	crashed   bool
 	recovered bool
-	lost      uint64
 
 	// migrated marks a tenant Evict carried to another scheduler. The
 	// stub stays in the admission list (keeping report indices stable for
@@ -263,17 +280,9 @@ type Tenant struct {
 	// arrives, and reports zero counters — its accounting moved with it.
 	migrated bool
 
-	// overload control (nil / zero when the knobs are off): bucket
-	// rate-limits arrivals, breaker quarantines fault-storming tenants,
-	// prevFaults is the injector count already fed to the breaker.
-	bucket      *overload.TokenBucket
-	breaker     *overload.Breaker
-	prevFaults  uint64
-	quarantined bool
-	throttled   uint64 // arrivals refused by the token bucket
-	shed        uint64 // arrivals refused by the load shedder
-	breakerShed uint64 // arrivals refused while quarantined
-	busied      uint64 // ops bounced back CompBusy (retries exhausted)
+	// prevFaults is this scheduler's injector count for the tenant
+	// already fed to its breaker.
+	prevFaults uint64
 }
 
 // Crashed reports whether the tenant's guest died during a run.
@@ -303,27 +312,35 @@ type Scheduler struct {
 	elapsed simtime.Duration // accumulated across Run calls
 	ran     bool
 
-	inj *fault.Injector // armed from cfg.Faults (nil = chaos off)
-
-	// shedder is the fleet-wide load-shed controller (nil = shedding
-	// off); shedByClass counts its refusals per priority class, and
-	// shedThresh is the threshold class the shedder's OnShed hook
-	// reported for the latest refusal (the arrival path is sim-event
-	// serial, so the causal event emitted right after Admit reads it
-	// race-free).
-	shedder     *overload.Shedder
-	shedByClass [MaxTenantClasses]uint64
-	shedThresh  int
+	inj     *fault.Injector   // armed from cfg.Faults (nil = chaos off)
+	shedder *overload.Shedder // fleet-wide load-shed controller (nil = off)
 }
 
-// causalEvent links one pre-submission overload refusal into the causal
-// log, when a flight recorder is armed. The trace ID is 0: the refused
-// request never became a ring descriptor, so the event is the whole
-// chain.
-func (s *Scheduler) causalEvent(now simtime.Time, tenant string, kind obs.EventKind, note string) {
-	if rec := s.mgr.Recorder(); rec != nil {
-		rec.Causal().Event(obs.RingEvent{Kind: kind, Time: now, Guest: tenant, Note: note})
+// record books one overload verdict for a tenant: it bumps the tenant's
+// counter, logs the decision, and — for a throttle, quarantine or shed
+// refusal, when a flight recorder is armed — links it into the causal
+// log. The trace ID is 0: the refused request never became a ring
+// descriptor, so the event is the whole chain. Admits, queue-full drops
+// and busy bounce-backs have no causal event.
+func (s *Scheduler) record(t *Tenant, now simtime.Time, v overload.Verdict, note string) {
+	t.verdicts[v]++
+	s.cfg.Decisions.Record(now, t.spec.Name, v, int(t.spec.Class), note)
+	rec := s.mgr.Recorder()
+	if rec == nil {
+		return
 	}
+	ev := obs.RingEvent{Time: now, Guest: t.spec.Name, Note: note}
+	switch v {
+	case overload.VerdictThrottle:
+		ev.Kind = obs.EvThrottle
+	case overload.VerdictQuarantine:
+		ev.Kind, ev.Note = obs.EvBreaker, "quarantined"
+	case overload.VerdictShed:
+		ev.Kind, ev.Note = obs.EvShed, fmt.Sprintf("class %d below %s", t.spec.Class, note)
+	default:
+		return
+	}
+	rec.Causal().Event(ev)
 }
 
 // New builds an empty fleet over an existing machine.
@@ -368,7 +385,6 @@ func New(h *hv.Hypervisor, mgr *core.Manager, cfg Config) (*Scheduler, error) {
 	if cfg.Classes > 0 {
 		s.shedder = overload.NewShedder(overload.ShedConfig{
 			Low: cfg.ShedLow, High: cfg.ShedHigh, After: cfg.ShedAfter, Classes: cfg.Classes,
-			OnShed: func(now simtime.Time, class, thresh int) { s.shedThresh = thresh },
 		})
 	}
 	if cfg.Overload.Enabled {
@@ -386,9 +402,6 @@ func (s *Scheduler) Injector() *fault.Injector { return s.inj }
 func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, fmt.Errorf("fleet: admission refused: %d tenants at cap %d", len(s.tenants), s.cfg.MaxTenants)
-	}
 	if spec.Name == "" {
 		return nil, fmt.Errorf("fleet: tenant needs a name")
 	}
@@ -407,50 +420,59 @@ func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 	if spec.Class < 0 || (s.cfg.Classes > 0 && int(spec.Class) >= s.cfg.Classes) {
 		return nil, fmt.Errorf("fleet: tenant %q class %d outside [0, %d)", spec.Name, spec.Class, s.cfg.Classes)
 	}
-	idx := len(s.tenants)
-	arrival := spec.Arrival
-	if arrival == nil {
-		p, err := workload.NewPoisson(s.cfg.Seed+int64(idx)*7919+1, spec.RateOPS)
+	acct := accounting{arrival: spec.Arrival, hist: stats.NewHistogram()}
+	if acct.arrival == nil {
+		p, err := workload.NewPoisson(s.cfg.Seed+int64(len(s.tenants))*7919+1, spec.RateOPS)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
 		}
-		arrival = p
-	}
-	vm, err := s.hv.CreateVM(spec.Name, spec.RAMBytes)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
-	}
-	g, err := core.NewGuest(vm, s.mgr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
-	}
-	t := &Tenant{
-		spec:    spec,
-		index:   idx,
-		vm:      vm,
-		guest:   g,
-		objIdx:  make(map[string]int, len(spec.Objects)),
-		arrival: arrival,
-		stride:  strideScale / uint64(spec.Weight),
-		hist:    stats.NewHistogram(),
+		acct.arrival = p
 	}
 	if spec.AdmitRateOPS > 0 {
 		burst := spec.AdmitBurst
 		if burst <= 0 {
 			burst = s.cfg.AdmitBurst
 		}
-		t.bucket = overload.NewTokenBucket(spec.AdmitRateOPS, burst)
+		acct.bucket = overload.NewTokenBucket(spec.AdmitRateOPS, burst)
 	}
 	if s.cfg.BreakerThreshold > 0 {
-		t.breaker = overload.NewBreaker(overload.BreakerConfig{
+		acct.breaker = overload.NewBreaker(overload.BreakerConfig{
 			Threshold: s.cfg.BreakerThreshold,
 			Window:    s.cfg.BreakerWindow,
 			Cooldown:  s.cfg.BreakerCooldown,
-			OnTrip: func(now simtime.Time, cooldown simtime.Duration, trips uint64) {
-				s.causalEvent(now, spec.Name, obs.EvBreaker,
-					fmt.Sprintf("tripped %d, cooldown %s", trips, cooldown))
-			},
 		})
+	}
+	return s.bringUp("admit", spec, acct)
+}
+
+// bringUp is the tenant bring-up Admit and Adopt share: within the
+// MaxTenants cap it boots a fresh guest VM on this scheduler's machine,
+// attaches every object (opening a call ring per attachment in ring
+// mode, with retry jitter seeded by the tenant's admission index), sets
+// its drain-side poll weight, and appends it to the schedule at pass
+// zero with acct as its accounting. verb names the caller in errors.
+// Callers hold s.mu.
+func (s *Scheduler) bringUp(verb string, spec TenantSpec, acct accounting) (*Tenant, error) {
+	idx := len(s.tenants)
+	if s.cfg.MaxTenants > 0 && idx >= s.cfg.MaxTenants {
+		return nil, fmt.Errorf("fleet: %s %q refused: %d tenants at cap %d", verb, spec.Name, idx, s.cfg.MaxTenants)
+	}
+	vm, err := s.hv.CreateVM(spec.Name, spec.RAMBytes)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %s %q: %w", verb, spec.Name, err)
+	}
+	g, err := core.NewGuest(vm, s.mgr)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %s %q: %w", verb, spec.Name, err)
+	}
+	t := &Tenant{
+		accounting: acct,
+		spec:       spec,
+		index:      idx,
+		vm:         vm,
+		guest:      g,
+		objIdx:     make(map[string]int, len(spec.Objects)),
+		stride:     strideScale / uint64(spec.Weight),
 	}
 	ringRetry := s.cfg.RingRetry
 	if ringRetry.MaxAttempts > 0 {
@@ -459,14 +481,14 @@ func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 	for _, obj := range spec.Objects {
 		h, err := g.Attach(obj)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: tenant %q attach %q: %w", spec.Name, obj, err)
+			return nil, fmt.Errorf("fleet: %s %q attach %q: %w", verb, spec.Name, obj, err)
 		}
 		t.objIdx[obj] = len(t.handles)
 		t.handles = append(t.handles, h)
 		if s.cfg.RingDepth > 0 {
 			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.RingDeadline, Retry: ringRetry})
 			if err != nil {
-				return nil, fmt.Errorf("fleet: tenant %q ring on %q: %w", spec.Name, obj, err)
+				return nil, fmt.Errorf("fleet: %s %q ring on %q: %w", verb, spec.Name, obj, err)
 			}
 			t.rings = append(t.rings, rc)
 			t.ringPend = append(t.ringPend, nil)
@@ -478,7 +500,7 @@ func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 		// the first Attach — the manager builds a guest's ELISA state
 		// lazily on negotiation.
 		if err := s.mgr.SetPollWeight(vm, spec.Weight*(1+int(spec.Class))); err != nil {
-			return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
+			return nil, fmt.Errorf("fleet: %s %q: %w", verb, spec.Name, err)
 		}
 	}
 	s.tenants = append(s.tenants, t)
@@ -656,46 +678,19 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 		}
 	}
 
-	// admit runs one arrival through the refusal ladder — cheapest
-	// refusal first: the token bucket and the quarantine check refuse
-	// before any state is touched, the shedder refuses by fleet-wide
-	// occupancy and class, and only then does the bounded queue drop
-	// blindly — queueing it and kicking dispatch when every gate passes.
+	// admit runs one arrival through the refusal ladder, books the
+	// verdict, and on an admit queues the op and kicks dispatch.
 	// Generated and replayed arrivals share this path, so a decision
 	// trace covers both identically.
 	admit := func(t *Tenant, now simtime.Time, op pendingOp) {
 		t.submitted++
-		switch {
-		case s.cfg.GlobalAdmit != nil && !s.cfg.GlobalAdmit(now, t.spec.Name, int(t.spec.Class)):
-			// Cluster-wide cap: the outermost gate, so a globally-refused
-			// arrival consumes no per-shard bucket token.
-			t.throttled++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "global-bucket")
-			s.causalEvent(now, t.spec.Name, obs.EvThrottle, "global-bucket")
-		case t.bucket != nil && !t.bucket.Allow(now):
-			t.throttled++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "token-bucket")
-			s.causalEvent(now, t.spec.Name, obs.EvThrottle, "token-bucket")
-		case t.quarantined:
-			t.breakerShed++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictQuarantine, int(t.spec.Class), "breaker-open")
-			s.causalEvent(now, t.spec.Name, obs.EvBreaker, "quarantined")
-		case s.shedder != nil && !s.shedder.Admit(now, s.occupancyLocked(), int(t.spec.Class)):
-			t.shed++
-			s.shedByClass[t.spec.Class]++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictShed, int(t.spec.Class),
-				fmt.Sprintf("threshold %d", s.shedThresh))
-			s.causalEvent(now, t.spec.Name, obs.EvShed,
-				fmt.Sprintf("class %d below threshold %d", t.spec.Class, s.shedThresh))
-		case len(t.queue) >= s.cfg.QueueDepth:
-			t.dropped++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictDrop, int(t.spec.Class), "queue-full")
-		default:
+		v, note := s.ladder(t, now)
+		s.record(t, now, v, note)
+		if v == overload.VerdictAdmit {
 			t.queue = append(t.queue, op)
 			if len(t.queue) > t.maxQueue {
 				t.maxQueue = len(t.queue)
 			}
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictAdmit, int(t.spec.Class), "")
 			dispatch(now)
 		}
 	}
@@ -750,12 +745,16 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 	// repairs what they corrupted — the repair pass runs before any guest
 	// call can stumble into a scribbled entry — and quarantines tenants
 	// that died, reclaiming their attachments without touching the rest.
-	if s.inj != nil {
+	// With breakers armed it also ticks them, plan or no plan, so a
+	// tenant adopted mid-quarantine serves out its cooldown here.
+	if s.inj != nil || s.cfg.BreakerThreshold > 0 {
 		var pump func(now simtime.Time)
 		pump = func(now simtime.Time) {
-			s.mgr.PumpFaults(now)
-			_, _ = s.mgr.FsckRepair()
-			s.sweepDead()
+			if s.inj != nil {
+				s.mgr.PumpFaults(now)
+				_, _ = s.mgr.FsckRepair()
+				s.sweepDead()
+			}
 			s.pumpBreakers(now)
 			_, _ = sim.After(s.cfg.PumpEvery, pump)
 		}
@@ -780,6 +779,35 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 	return s.reportLocked(), nil
 }
 
+// ladder runs one arrival through the refusal ladder, cheapest refusal
+// first, and returns the verdict with its decision note: the token
+// bucket and the quarantine check refuse before any state is touched,
+// the shedder refuses by fleet-wide occupancy and class, and only then
+// does the bounded queue drop blindly. Callers hold s.mu.
+func (s *Scheduler) ladder(t *Tenant, now simtime.Time) (overload.Verdict, string) {
+	class := int(t.spec.Class)
+	if s.cfg.GlobalAdmit != nil && !s.cfg.GlobalAdmit(now, t.spec.Name, class) {
+		// Cluster-wide cap: the outermost gate, so a globally-refused
+		// arrival consumes no per-shard bucket token.
+		return overload.VerdictThrottle, "global-bucket"
+	}
+	if t.bucket != nil && !t.bucket.Allow(now) {
+		return overload.VerdictThrottle, "token-bucket"
+	}
+	if t.quarantined {
+		return overload.VerdictQuarantine, "breaker-open"
+	}
+	if s.shedder != nil {
+		if ok, thresh := s.shedder.Admit(now, s.occupancyLocked(), class); !ok {
+			return overload.VerdictShed, "threshold " + strconv.Itoa(thresh)
+		}
+	}
+	if len(t.queue) >= s.cfg.QueueDepth {
+		return overload.VerdictDrop, "queue-full"
+	}
+	return overload.VerdictAdmit, ""
+}
+
 // occupancyLocked is the shedder's input: the fleet-wide fraction of
 // total queue capacity in use across live tenants. Callers hold s.mu.
 func (s *Scheduler) occupancyLocked() float64 {
@@ -800,10 +828,10 @@ func (s *Scheduler) occupancyLocked() float64 {
 // pumpBreakers feeds each tenant's circuit breaker the injector faults
 // fired since the last pump tick; a quiet tick is a success probe. A
 // tenant whose breaker is open is quarantined: not scheduled, and its
-// arrivals are refused until the (doubling) cooldown expires. Callers
-// hold s.mu.
+// arrivals are refused until the (doubling) cooldown expires. A trip is
+// linked into the causal log. Callers hold s.mu.
 func (s *Scheduler) pumpBreakers(now simtime.Time) {
-	if s.inj == nil || s.cfg.BreakerThreshold <= 0 {
+	if s.cfg.BreakerThreshold <= 0 {
 		return
 	}
 	fired := s.inj.FiredByGuest()
@@ -811,6 +839,7 @@ func (s *Scheduler) pumpBreakers(now simtime.Time) {
 		if t.breaker == nil || t.crashed {
 			continue
 		}
+		trips := t.breaker.Trips()
 		if n := fired[t.spec.Name]; n > t.prevFaults {
 			for i := t.prevFaults; i < n; i++ {
 				t.breaker.RecordFault(now)
@@ -820,6 +849,10 @@ func (s *Scheduler) pumpBreakers(now simtime.Time) {
 			t.breaker.RecordSuccess(now)
 		}
 		t.quarantined = t.breaker.State(now) == overload.BreakerOpen
+		if rec := s.mgr.Recorder(); rec != nil && t.breaker.Trips() > trips {
+			rec.Causal().Event(obs.RingEvent{Kind: obs.EvBreaker, Time: now, Guest: t.spec.Name,
+				Note: fmt.Sprintf("tripped %d, cooldown %s", t.breaker.Trips(), t.breaker.Cooldown())})
+		}
 	}
 }
 
@@ -849,8 +882,7 @@ func (s *Scheduler) harvestTenant(t *Tenant, now simtime.Time) simtime.Duration 
 				arrived := t.ringPend[i][0]
 				t.ringPend[i] = t.ringPend[i][1:]
 				if comps[j].Status == shm.CompBusy {
-					t.busied++
-					s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictBusy, int(t.spec.Class), "ring-busy")
+					s.record(t, now, overload.VerdictBusy, "ring-busy")
 					continue
 				}
 				if comps[j].Status != shm.CompOK {
@@ -1000,16 +1032,16 @@ func (s *Scheduler) reportLocked() *Report {
 			Weight:      t.spec.Weight,
 			Submitted:   t.submitted,
 			Completed:   t.completed,
-			Dropped:     t.dropped,
+			Dropped:     t.verdicts[overload.VerdictDrop],
 			FnErrors:    t.fnErrors,
 			Crashed:     t.crashed,
 			Recovered:   t.recovered,
 			Lost:        t.lost,
 			Class:       int(t.spec.Class),
-			Throttled:   t.throttled,
-			Shed:        t.shed,
-			BreakerShed: t.breakerShed,
-			Busied:      t.busied,
+			Throttled:   t.verdicts[overload.VerdictThrottle],
+			Shed:        t.verdicts[overload.VerdictShed],
+			BreakerShed: t.verdicts[overload.VerdictQuarantine],
+			Busied:      t.verdicts[overload.VerdictBusy],
 			Quarantined: t.quarantined,
 			P50:         simtime.Duration(t.hist.Percentile(0.50)),
 			P99:         simtime.Duration(t.hist.Percentile(0.99)),
@@ -1020,6 +1052,9 @@ func (s *Scheduler) reportLocked() *Report {
 			tr.GoodputOPS = float64(t.completed) * 1e9 / float64(s.elapsed)
 		}
 		r.Tenants = append(r.Tenants, tr)
+		if tr.Shed > 0 {
+			r.ShedByClass[tr.Class] += tr.Shed
+		}
 	}
 	if s.inj != nil {
 		r.FaultsFired = uint64(len(s.inj.Fired()))
@@ -1031,7 +1066,6 @@ func (s *Scheduler) reportLocked() *Report {
 		r.Repairs = rs.Repairs
 		r.Retries = rs.Retries
 	}
-	r.ShedByClass = s.shedByClass
 	return r
 }
 

@@ -4,37 +4,24 @@
 // between scheduling windows the rebalancer Evicts a hot tenant, moves
 // its objects with Cluster.MoveObject, and Adopts it on the destination
 // shard — counters, latency histogram, arrival process, admission
-// bucket, and still-queued ops all carry over, so the merged report
-// reads as one continuous tenant that changed machines.
+// bucket, circuit breaker, and still-queued ops all carry over, so the
+// merged report reads as one continuous tenant that changed machines.
 package fleet
 
 import (
 	"fmt"
 
-	"github.com/elisa-go/elisa/internal/core"
-	"github.com/elisa-go/elisa/internal/obs"
-	"github.com/elisa-go/elisa/internal/overload"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/stats"
-	"github.com/elisa-go/elisa/internal/workload"
 )
 
 // TenantState is the portable state Evict returns and Adopt consumes:
 // the admission spec plus everything the tenant accumulated — counters,
-// histogram, queue, arrival process, admission bucket. It is opaque to
-// callers; they only route it (and may read its Spec).
+// histogram, queue, arrival process, admission bucket, circuit breaker.
+// It is opaque to callers; they only route it (and may read its Spec).
 type TenantState struct {
-	spec    TenantSpec
-	arrival workload.Arrival
-	queue   []pendingOp
-	rr      int
-
-	submitted, completed, dropped, fnErrors, lost uint64
-	throttled, shed, breakerShed, busied          uint64
-	maxQueue                                      int
-	coreTime                                      simtime.Duration
-	hist                                          *stats.Histogram
-	bucket                                        *overload.TokenBucket
+	spec TenantSpec
+	accounting
 }
 
 // Spec returns the migrating tenant's admission spec (the rebalancer
@@ -108,134 +95,41 @@ func (s *Scheduler) Evict(name string) (*TenantState, error) {
 			return nil, fmt.Errorf("fleet: evict %q: detach %q: %w", name, obj, err)
 		}
 	}
-	st := &TenantState{
-		spec:        t.spec,
-		arrival:     t.arrival,
-		queue:       t.queue,
-		rr:          t.rr,
-		submitted:   t.submitted,
-		completed:   t.completed,
-		dropped:     t.dropped,
-		fnErrors:    t.fnErrors,
-		lost:        t.lost,
-		throttled:   t.throttled,
-		shed:        t.shed,
-		breakerShed: t.breakerShed,
-		busied:      t.busied,
-		maxQueue:    t.maxQueue,
-		coreTime:    t.coreTime,
-		hist:        t.hist,
-		bucket:      t.bucket,
-	}
+	st := &TenantState{spec: t.spec, accounting: t.accounting}
 	// Reduce the slot to a stub: present (indices stay stable), inert
 	// (never scheduled, never arrives), and reporting zeros.
 	t.migrated = true
-	t.arrival = nil
-	t.queue = nil
-	t.handles = nil
-	t.rings = nil
-	t.ringPend = nil
-	t.bucket = nil
-	t.breaker = nil
-	t.quarantined = false
-	t.submitted, t.completed, t.dropped, t.fnErrors, t.lost = 0, 0, 0, 0, 0
-	t.throttled, t.shed, t.breakerShed, t.busied = 0, 0, 0, 0
-	t.maxQueue, t.coreTime, t.rr = 0, 0, 0
-	t.hist = stats.NewHistogram()
+	t.accounting = accounting{hist: stats.NewHistogram()}
+	t.handles, t.rings, t.ringPend = nil, nil, nil
 	return st, nil
 }
 
 // Adopt boots a migrated tenant onto this scheduler from the state Evict
 // returned: a fresh guest VM, fresh attachments (and rings, in ring
 // mode) against this scheduler's manager, with every carried counter,
-// the latency histogram, the arrival process, the admission bucket, and
-// the still-queued ops restored. The tenant re-enters the stride
-// schedule like a fresh admit (pass zero); its objects must already
-// exist on this scheduler's manager — the caller moves them first.
+// the latency histogram, the arrival process, the admission bucket, the
+// circuit breaker, and the still-queued ops restored. A tenant adopted
+// mid-quarantine stays quarantined until its breaker's cooldown ends.
+// The tenant re-enters the stride schedule like a fresh admit (pass
+// zero); its objects must already exist on this scheduler's manager —
+// the caller moves them first.
 func (s *Scheduler) Adopt(st *TenantState) (*Tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st == nil {
 		return nil, fmt.Errorf("fleet: adopt needs a tenant state")
 	}
-	spec := st.spec
-	if s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, fmt.Errorf("fleet: adoption refused: %d tenants at cap %d", len(s.tenants), s.cfg.MaxTenants)
-	}
 	for _, t := range s.tenants {
-		if t.spec.Name == spec.Name && !t.migrated {
-			return nil, fmt.Errorf("fleet: adopt %q: name already admitted here", spec.Name)
+		if t.spec.Name == st.spec.Name && !t.migrated {
+			return nil, fmt.Errorf("fleet: adopt %q: name already admitted here", st.spec.Name)
 		}
 	}
-	idx := len(s.tenants)
-	vm, err := s.hv.CreateVM(spec.Name, spec.RAMBytes)
+	t, err := s.bringUp("adopt", st.spec, st.accounting)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: adopt %q: %w", spec.Name, err)
+		return nil, err
 	}
-	g, err := core.NewGuest(vm, s.mgr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: adopt %q: %w", spec.Name, err)
-	}
-	t := &Tenant{
-		spec:        spec,
-		index:       idx,
-		vm:          vm,
-		guest:       g,
-		objIdx:      make(map[string]int, len(spec.Objects)),
-		arrival:     st.arrival,
-		stride:      strideScale / uint64(spec.Weight),
-		queue:       st.queue,
-		rr:          st.rr,
-		submitted:   st.submitted,
-		completed:   st.completed,
-		dropped:     st.dropped,
-		fnErrors:    st.fnErrors,
-		lost:        st.lost,
-		throttled:   st.throttled,
-		shed:        st.shed,
-		breakerShed: st.breakerShed,
-		busied:      st.busied,
-		maxQueue:    st.maxQueue,
-		coreTime:    st.coreTime,
-		hist:        st.hist,
-		bucket:      st.bucket,
-	}
-	if s.cfg.BreakerThreshold > 0 {
-		t.breaker = overload.NewBreaker(overload.BreakerConfig{
-			Threshold: s.cfg.BreakerThreshold,
-			Window:    s.cfg.BreakerWindow,
-			Cooldown:  s.cfg.BreakerCooldown,
-			OnTrip: func(now simtime.Time, cooldown simtime.Duration, trips uint64) {
-				s.causalEvent(now, spec.Name, obs.EvBreaker,
-					fmt.Sprintf("tripped %d, cooldown %s", trips, cooldown))
-			},
-		})
-	}
-	ringRetry := s.cfg.RingRetry
-	if ringRetry.MaxAttempts > 0 {
-		ringRetry.Seed += int64(idx) // distinct deterministic jitter per tenant
-	}
-	for _, obj := range spec.Objects {
-		h, err := g.Attach(obj)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: adopt %q attach %q: %w", spec.Name, obj, err)
-		}
-		t.objIdx[obj] = len(t.handles)
-		t.handles = append(t.handles, h)
-		if s.cfg.RingDepth > 0 {
-			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.RingDeadline, Retry: ringRetry})
-			if err != nil {
-				return nil, fmt.Errorf("fleet: adopt %q ring on %q: %w", spec.Name, obj, err)
-			}
-			t.rings = append(t.rings, rc)
-			t.ringPend = append(t.ringPend, nil)
-		}
-	}
-	if s.cfg.Overload.Enabled {
-		if err := s.mgr.SetPollWeight(vm, spec.Weight*(1+int(spec.Class))); err != nil {
-			return nil, fmt.Errorf("fleet: adopt %q: %w", spec.Name, err)
-		}
-	}
-	s.tenants = append(s.tenants, t)
+	// The breaker has seen the source's faults; count this scheduler's
+	// from here on.
+	t.prevFaults = s.inj.FiredByGuest()[t.spec.Name]
 	return t, nil
 }

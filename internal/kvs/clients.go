@@ -338,15 +338,11 @@ func (c *VMCallClient) Scheme() string { return "vmcall" }
 // ---------------------------------------------------------------------------
 // ELISA: isolated, exit-less.
 
-// Manager function IDs of the ELISA KV service. FnKVGetAt is the
-// ring-datapath variant of FnKVGet: it carries an explicit exchange slot
-// offset in its second argument word, so several in-flight lookups can
-// stage keys and receive values side by side in one exchange buffer.
+// Manager function IDs of the ELISA KV service.
 const (
-	FnKVGet   uint64 = 0x4B56_0101
-	FnKVPut   uint64 = 0x4B56_0102
-	FnKVDel   uint64 = 0x4B56_0103
-	FnKVGetAt uint64 = 0x4B56_0104
+	FnKVGet uint64 = 0x4B56_0101
+	FnKVPut uint64 = 0x4B56_0102
+	FnKVDel uint64 = 0x4B56_0103
 )
 
 // Exchange layout: key at +0, value at +256.
@@ -393,9 +389,6 @@ func NewELISAService(h *hv.Hypervisor, mgr *core.Manager, objName string, l Layo
 		return nil, err
 	}
 	if err := mgr.RegisterFunc(FnKVDel, s.fnDel); err != nil {
-		return nil, err
-	}
-	if err := mgr.RegisterFunc(FnKVGetAt, s.fnGetAt); err != nil {
 		return nil, err
 	}
 	return s, nil

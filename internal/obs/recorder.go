@@ -56,15 +56,7 @@ type Recorder struct {
 	seen        uint64 // spans offered (every call)
 	sampled     uint64 // spans placed in the ring
 	hists       map[Key]*stats.Histogram
-	ringBatches map[RingKey]*stats.Histogram
 	causal      *CausalLog
-}
-
-// RingKey identifies one ring-batch series: the (guest, object)
-// attachment whose call ring was drained.
-type RingKey struct {
-	Guest  string
-	Object string
 }
 
 // NewRecorder creates a recorder with the given config.
@@ -79,7 +71,6 @@ func NewRecorder(cfg Config) *Recorder {
 		sampleEvery: uint64(cfg.SampleEvery),
 		ring:        make([]Span, 0, cfg.SpanRing),
 		hists:       make(map[Key]*stats.Histogram),
-		ringBatches: make(map[RingKey]*stats.Histogram),
 		causal:      NewCausalLog(cfg.CausalEvents),
 	}
 }
@@ -92,59 +83,6 @@ func (r *Recorder) Causal() *CausalLog {
 		return nil
 	}
 	return r.causal
-}
-
-// RecordRingBatch adds one batch-size observation for an attachment's
-// call ring: how many descriptors one drain (gate flush or manager
-// poller pass) serviced together. Like all recording it charges nothing.
-func (r *Recorder) RecordRingBatch(guest, object string, size int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := RingKey{guest, object}
-	h, ok := r.ringBatches[k]
-	if !ok {
-		h = stats.NewHistogram()
-		r.ringBatches[k] = h
-	}
-	h.Record(int64(size))
-}
-
-// RingBatchKeys returns the ring-batch series keys seen so far, sorted by
-// guest then object.
-func (r *Recorder) RingBatchKeys() []RingKey {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]RingKey, 0, len(r.ringBatches))
-	for k := range r.ringBatches {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Guest != out[j].Guest {
-			return out[i].Guest < out[j].Guest
-		}
-		return out[i].Object < out[j].Object
-	})
-	return out
-}
-
-// RingBatchHistogram returns an independent snapshot of one ring-batch
-// series, or an empty histogram if the key has never been recorded.
-func (r *Recorder) RingBatchHistogram(k RingKey) *stats.Histogram {
-	if r == nil {
-		return stats.NewHistogram()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.ringBatches[k]; ok {
-		return h.Clone()
-	}
-	return stats.NewHistogram()
 }
 
 // Record offers one completed span. A single-call span's total latency is
@@ -308,6 +246,5 @@ func (r *Recorder) Reset() {
 	r.start, r.count = 0, 0
 	r.seen, r.sampled = 0, 0
 	clear(r.hists)
-	clear(r.ringBatches)
 	r.causal.Reset()
 }

@@ -71,11 +71,6 @@ type ShedConfig struct {
 	// Classes is the number of priority classes (default 1). The top
 	// class, Classes-1, is never shed.
 	Classes int
-	// OnShed, when non-nil, observes every refusal (the arrival's class
-	// and the shed-threshold class in force), so callers can link shed
-	// decisions into a causal event log. Observation must not mutate
-	// shedder state.
-	OnShed func(now simtime.Time, class, thresh int)
 }
 
 // Shedder is the watermark load-shed controller: fed the fleet's queue
@@ -104,18 +99,20 @@ func NewShedder(cfg ShedConfig) *Shedder {
 
 // Admit decides one arrival: occupancy is the current fraction of total
 // queue capacity in use, class the arrival's priority class (0 =
-// lowest). It returns false when the arrival should be shed.
-func (s *Shedder) Admit(now simtime.Time, occupancy float64, class int) bool {
+// lowest). It returns false when the arrival should be shed, along with
+// the threshold class in force: every class below it is being shed (0
+// while shedding is not engaged).
+func (s *Shedder) Admit(now simtime.Time, occupancy float64, class int) (ok bool, thresh int) {
 	if occupancy < s.cfg.Low {
 		s.saturated = false
-		return true
+		return true, 0
 	}
 	if !s.saturated {
 		s.saturated = true
 		s.satSince = now
 	}
 	if now.Sub(s.satSince) < s.cfg.After {
-		return true
+		return true, 0
 	}
 	level := (occupancy - s.cfg.Low) / (s.cfg.High - s.cfg.Low)
 	if level > 1 {
@@ -123,18 +120,15 @@ func (s *Shedder) Admit(now simtime.Time, occupancy float64, class int) bool {
 	}
 	// The threshold class climbs from 0 (shed nothing) at Low to
 	// Classes-1 (shed everything below the top class) at High.
-	thresh := int(level * float64(s.cfg.Classes))
+	thresh = int(level * float64(s.cfg.Classes))
 	if thresh > s.cfg.Classes-1 {
 		thresh = s.cfg.Classes - 1
 	}
 	if class < thresh {
 		s.shed++
-		if s.cfg.OnShed != nil {
-			s.cfg.OnShed(now, class, thresh)
-		}
-		return false
+		return false, thresh
 	}
-	return true
+	return true, thresh
 }
 
 // Shed returns how many arrivals this shedder has refused.
@@ -175,11 +169,6 @@ type BreakerConfig struct {
 	// re-trip doubles it, up to MaxCooldown (defaults 100µs and 16x).
 	Cooldown    simtime.Duration
 	MaxCooldown simtime.Duration
-	// OnTrip, when non-nil, observes every trip (with the cooldown now
-	// in force and the lifetime trip count), so callers can link
-	// quarantine decisions into a causal event log. Observation must not
-	// mutate breaker state.
-	OnTrip func(now simtime.Time, cooldown simtime.Duration, trips uint64)
 }
 
 // Breaker is a per-tenant circuit breaker over fault/recovery events: a
@@ -254,9 +243,6 @@ func (b *Breaker) trip(now simtime.Time) {
 	b.state = BreakerOpen
 	b.openedAt = now
 	b.recent = b.recent[:0]
-	if b.cfg.OnTrip != nil {
-		b.cfg.OnTrip(now, b.cool, b.trips)
-	}
 }
 
 // RecordSuccess feeds one quiet probe: a HalfOpen breaker closes. It is

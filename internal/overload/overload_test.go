@@ -39,49 +39,60 @@ func TestOverloadTokenBucketRefill(t *testing.T) {
 
 func TestOverloadShedderClassLadder(t *testing.T) {
 	s := NewShedder(ShedConfig{Low: 0.5, High: 0.9, Classes: 3})
+	admit := func(now simtime.Time, occupancy float64, class int) bool {
+		ok, _ := s.Admit(now, occupancy, class)
+		return ok
+	}
 	// Below the low watermark nothing is shed.
 	for class := 0; class < 3; class++ {
-		if !s.Admit(at(0), 0.3, class) {
+		if !admit(at(0), 0.3, class) {
 			t.Fatalf("class %d shed below the low watermark", class)
 		}
 	}
 	// Mid-ramp (level 0.5 -> threshold 1): only class 0 is shed.
-	if s.Admit(at(1), 0.7, 0) {
-		t.Fatal("class 0 admitted at occupancy 0.7")
+	if ok, thresh := s.Admit(at(1), 0.7, 0); ok || thresh != 1 {
+		t.Fatalf("class 0 at occupancy 0.7: admitted=%v threshold=%d, want shed at threshold 1", ok, thresh)
 	}
-	if !s.Admit(at(1), 0.7, 1) || !s.Admit(at(1), 0.7, 2) {
+	if !admit(at(1), 0.7, 1) || !admit(at(1), 0.7, 2) {
 		t.Fatal("classes 1/2 shed at occupancy 0.7")
 	}
 	// At/above the high watermark everything below the top class sheds.
-	if s.Admit(at(2), 1.0, 0) || s.Admit(at(2), 1.0, 1) {
-		t.Fatal("low/mid class admitted at full occupancy")
+	if ok, thresh := s.Admit(at(2), 1.0, 0); ok || thresh != 2 {
+		t.Fatalf("class 0 at full occupancy: admitted=%v threshold=%d, want shed at threshold 2", ok, thresh)
 	}
-	if !s.Admit(at(2), 1.0, 2) {
+	if admit(at(2), 1.0, 1) {
+		t.Fatal("mid class admitted at full occupancy")
+	}
+	if !admit(at(2), 1.0, 2) {
 		t.Fatal("top class must never be shed")
 	}
 	if s.Shed() != 3 {
 		t.Fatalf("shed count = %d, want 3", s.Shed())
 	}
 	// Dropping below the low watermark clears saturation.
-	if !s.Admit(at(3), 0.1, 0) {
+	if !admit(at(3), 0.1, 0) {
 		t.Fatal("class 0 shed after occupancy recovered")
 	}
 }
 
 func TestOverloadShedderSustainedDelay(t *testing.T) {
 	s := NewShedder(ShedConfig{Low: 0.5, High: 0.9, Classes: 2, After: 10 * simtime.Microsecond})
+	admit := func(now simtime.Time, occupancy float64, class int) bool {
+		ok, _ := s.Admit(now, occupancy, class)
+		return ok
+	}
 	// Saturated, but not yet for long enough: admit.
-	if !s.Admit(at(0), 1.0, 0) || !s.Admit(at(5), 1.0, 0) {
+	if !admit(at(0), 1.0, 0) || !admit(at(5), 1.0, 0) {
 		t.Fatal("shed before the sustained-saturation delay elapsed")
 	}
-	if s.Admit(at(10), 1.0, 0) {
+	if admit(at(10), 1.0, 0) {
 		t.Fatal("class 0 admitted after sustained saturation")
 	}
 	// A dip below Low resets the delay clock.
-	if !s.Admit(at(11), 0.2, 0) {
+	if !admit(at(11), 0.2, 0) {
 		t.Fatal("shed after occupancy dipped")
 	}
-	if !s.Admit(at(12), 1.0, 0) {
+	if !admit(at(12), 1.0, 0) {
 		t.Fatal("the sustained-saturation clock must restart after a dip")
 	}
 }

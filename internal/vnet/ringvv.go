@@ -149,13 +149,6 @@ func (p *RingVVPath) Sender() *hv.VM { return p.a.VM() }
 // Receiver implements VVPath.
 func (p *RingVVPath) Receiver() *hv.VM { return p.b.VM() }
 
-// SenderRing and ReceiverRing expose the underlying ring callers, so
-// harnesses and experiments can flush, poll, or read ring state directly.
-func (p *RingVVPath) SenderRing() *core.RingCaller { return p.rcA }
-
-// ReceiverRing is SenderRing's counterpart for the receiving guest.
-func (p *RingVVPath) ReceiverRing() *core.RingCaller { return p.rcB }
-
 // TxLatency and RxLatency return snapshots of the per-frame
 // submit-to-completion latency distributions.
 func (p *RingVVPath) TxLatency() *stats.Histogram { return p.txLat.Clone() }
