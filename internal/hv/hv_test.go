@@ -358,3 +358,61 @@ func TestTraceCapturesMachineEvents(t *testing.T) {
 	}
 	_, _ = h2.CreateVM("untraced", 4*mem.PageSize) // must not panic
 }
+
+func TestDestroyVMKillsVCPU(t *testing.T) {
+	h := newHV(t, 1)
+	a, err := h.CreateVM("a", 4*mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	if err := a.VCPU().ReadGPA(0, buf); err != nil { // warm a's TLB
+		t.Fatal(err)
+	}
+	if err := h.DestroyVM(a); err != nil {
+		t.Fatal(err)
+	}
+	if a.VCPU().TLB().Len() != 0 {
+		t.Fatalf("destroyed VM's TLB holds %d entries", a.VCPU().TLB().Len())
+	}
+	// The next guest is handed a's freed frames.
+	b, err := h.CreateVM("b", 4*mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 4; p++ {
+		if err := b.GuestWrite(mem.GPA(p*mem.PageSize), []byte("SECRET!!")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = a.VCPU().ReadGPA(0, buf)
+	if err == nil || string(buf) == "SECRET!!" {
+		t.Fatalf("destroyed VM's vCPU read %q (err %v)", buf, err)
+	}
+}
+
+func TestCreateVMFailureFreesFrames(t *testing.T) {
+	h, err := New(Config{PhysBytes: 64 * mem.PageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := h.Phys().FreeFrames()
+	for _, tc := range []struct {
+		name  string
+		pages int
+	}{
+		{"RAM allocation fails", free},             // the root took one frame
+		{"no frame for any table level", free - 1}, // MapRange fails on its first page
+		{"table levels run out", free - 3},         // two levels allocated, the third fails
+	} {
+		if _, err := h.CreateVM("g", tc.pages*mem.PageSize); err == nil {
+			t.Fatalf("%s: CreateVM of %d pages succeeded", tc.name, tc.pages)
+		}
+		if got := h.Phys().FreeFrames(); got != free {
+			t.Fatalf("%s: free frames %d -> %d", tc.name, free, got)
+		}
+	}
+	if _, err := h.CreateVM("g", (free-4)*mem.PageSize); err != nil {
+		t.Fatalf("CreateVM that fits after failed attempts: %v", err)
+	}
+}

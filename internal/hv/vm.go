@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/elisa-go/elisa/internal/cpu"
@@ -44,10 +45,10 @@ func (h *Hypervisor) CreateVM(name string, ramBytes int) (*VM, error) {
 	}
 	pages, err := h.pm.AllocFrames(ramBytes / mem.PageSize)
 	if err != nil {
-		return nil, fmt.Errorf("hv: vm %q: %w", name, err)
+		return nil, errors.Join(fmt.Errorf("hv: vm %q: %w", name, err), h.release(tbl, nil))
 	}
 	if err := tbl.MapRange(0, pages, ept.PermRWX); err != nil {
-		return nil, fmt.Errorf("hv: vm %q: %w", name, err)
+		return nil, errors.Join(fmt.Errorf("hv: vm %q: %w", name, err), h.release(tbl, pages))
 	}
 	vm := &VM{
 		id:         h.nextID,
@@ -66,7 +67,7 @@ func (h *Hypervisor) CreateVM(name string, ramBytes int) (*VM, error) {
 		FlushTLBOnSwitch: h.flushOnSwitch,
 	})
 	if err != nil {
-		return nil, err
+		return nil, errors.Join(err, h.release(tbl, pages))
 	}
 	vcpu.SetVMCS(cpu.VMCS{EPTP: tbl.Pointer()})
 	vm.vcpu = vcpu
@@ -75,6 +76,15 @@ func (h *Hypervisor) CreateVM(name string, ramBytes int) (*VM, error) {
 	h.nextID++
 	h.trace.Emit(0, name, trace.KindVMCreate, "%d pages RAM", len(pages))
 	return vm, nil
+}
+
+// release frees a VM's default EPT (root and table frames) and RAM pages.
+func (h *Hypervisor) release(tbl *ept.Table, pages []mem.HFN) error {
+	err := tbl.Destroy()
+	for _, f := range pages {
+		err = errors.Join(err, h.pm.FreeFrame(f))
+	}
+	return err
 }
 
 // ID returns the VM id.
@@ -190,19 +200,15 @@ func (h *Hypervisor) DestroyVM(vm *VM) error {
 	delete(h.vms, vm.id)
 	delete(h.byVCPU, vm.vcpu.ID())
 	vm.dead = true
+	// The vCPU must not outlive its VM: with a warm TLB it would still
+	// reach the freed frames, which the next guest is handed.
+	vm.vcpu.Kill()
+	vm.vcpu.TLB().Flush()
 	h.trace.Emit(vm.vcpu.Clock().Now(), vm.name, trace.KindVMDestroy, "releasing %d RAM pages", len(vm.ramPages))
 	if vm.eptpList != nil {
 		if err := vm.eptpList.Destroy(); err != nil {
 			return err
 		}
 	}
-	if err := vm.defaultEPT.Destroy(); err != nil {
-		return err
-	}
-	for _, f := range vm.ramPages {
-		if err := h.pm.FreeFrame(f); err != nil {
-			return err
-		}
-	}
-	return nil
+	return h.release(vm.defaultEPT, vm.ramPages)
 }
