@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/elisa-go/elisa/internal/ept"
 	"github.com/elisa-go/elisa/internal/hv"
@@ -58,22 +60,39 @@ func (m *Manager) ensureGuest(guest *hv.VM) (*guestState, error) {
 	}
 
 	gs := &guestState{
-		vm:          guest,
-		list:        list,
-		gateCtx:     gateCtx,
-		gateGPA:     gateGPA,
-		stack:       stack,
-		budget:      m.slotBudget,
-		nextVSlot:   firstSubIdx,
-		vslots:      make(map[int]*Attachment),
+		vm:      guest,
+		list:    list,
+		gateCtx: gateCtx,
+		gateGPA: gateGPA,
+		stack:   stack,
+		budget:  m.slotBudget,
+		// Guests typically attach a handful of objects: one 8-entry
+		// backing array holds them without regrowth.
+		slots:       make([]*Attachment, 0, 8),
 		physAtt:     make(map[int]*Attachment),
 		attachments: make(map[string]*Attachment),
 		granted:     make(map[int]bool),
 	}
-	m.guests[guest.ID()] = gs
+	m.addGuestLocked(gs)
 	// Manager-side construction work (table edits, list install).
 	m.vm.VCPU().Charge(8 * m.hv.Cost().MemAccess)
 	return gs, nil
+}
+
+// addGuestLocked registers a new guest state in both the by-id map and
+// the VM-id-ordered registry. Callers hold m.mu.
+func (m *Manager) addGuestLocked(gs *guestState) {
+	id := gs.vm.ID()
+	i := sort.Search(len(m.order), func(i int) bool { return m.order[i].vm.ID() > id })
+	m.order = slices.Insert(m.order, i, gs)
+	m.guests[id] = gs
+}
+
+// dropGuestLocked removes a guest state from both registries. Callers
+// hold m.mu.
+func (m *Manager) dropGuestLocked(gs *guestState) {
+	delete(m.guests, gs.vm.ID())
+	m.order = slices.DeleteFunc(m.order, func(o *guestState) bool { return o == gs })
 }
 
 // attach builds the sub context granting one guest access to one object
@@ -136,8 +155,7 @@ func (m *Manager) attach(guest *hv.VM, objName string) (*Attachment, error) {
 		}
 	}
 
-	vslot := gs.nextVSlot
-	gs.nextVSlot++
+	vslot := firstSubIdx + len(gs.slots)
 	a := &Attachment{
 		guest:       guest,
 		obj:         obj,
@@ -149,7 +167,7 @@ func (m *Manager) attach(guest *hv.VM, objName string) (*Attachment, error) {
 		exchangeGPA: exchangeGPA,
 	}
 	gs.attachments[objName] = a
-	gs.vslots[vslot] = a
+	gs.slots = append(gs.slots, a)
 	// Back the virtual slot eagerly while the guest is under its slot
 	// budget and the list has room: the first call is then already hot.
 	// Past the budget the attachment stays virtual — the first call takes

@@ -28,7 +28,14 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	h, err := hv.New(hv.Config{PhysBytes: 64 * 1024 * 1024})
+	return newSizedFixture(t, 64*1024*1024)
+}
+
+// newSizedFixture is newFixture on a machine of physBytes of simulated
+// RAM, for tests that build many small machines.
+func newSizedFixture(t testing.TB, physBytes int) *fixture {
+	t.Helper()
+	h, err := hv.New(hv.Config{PhysBytes: physBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{hv: h, mgr: m}
 }
 
-func (f *fixture) newGuest(t *testing.T, name string) (*hv.VM, *Guest) {
+func (f *fixture) newGuest(t testing.TB, name string) (*hv.VM, *Guest) {
 	t.Helper()
 	vm, err := f.hv.CreateVM(name, 16*mem.PageSize)
 	if err != nil {

@@ -127,7 +127,7 @@ func (m *Manager) resolveSlot(vmID, vslot int) (phys int, hit bool, err error) {
 			return 0, false, err
 		}
 	}
-	a := gs.vslots[vslot]
+	a := gs.slot(vslot)
 	if a == nil || a.revoked {
 		return IdxDefault, true, nil // stale: gate refuses at the grant check
 	}
@@ -465,7 +465,7 @@ func (m *Manager) gateAllowsBinding(vmID, vslot, phys int) bool {
 	if !ok {
 		return false
 	}
-	a := gs.vslots[vslot]
+	a := gs.slot(vslot)
 	admit := a != nil && !a.revoked && phys >= firstSubIdx &&
 		a.phys == phys && gs.physAtt[phys] == a && gs.granted[phys]
 	if admit {

@@ -77,7 +77,7 @@ func (m *Manager) cleanupGuestLocked(guest *hv.VM) (rings []*hv.HostRegion, err 
 	if err := gs.stack.Free(); err != nil {
 		return rings, err
 	}
-	delete(m.guests, guest.ID())
+	m.dropGuestLocked(gs)
 	m.hv.Trace().Emit(guest.VCPU().Clock().Now(), guest.Name(), trace.KindCleanup, "ELISA state released")
 	return rings, nil
 }
@@ -91,7 +91,8 @@ func (m *Manager) cleanupGuestLocked(guest *hv.VM) (rings []*hv.HostRegion, err 
 func (m *Manager) Fsck() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for id, gs := range m.guests {
+	for _, gs := range m.order {
+		id := gs.vm.ID()
 		gate, err := gs.list.Get(IdxGate)
 		if err != nil {
 			return err
@@ -109,7 +110,7 @@ func (m *Manager) Fsck() error {
 		// Collect what the slot table says should be installed.
 		backed := 0
 		want := map[int]ept.Pointer{}
-		for name, a := range gs.attachments {
+		for _, a := range gs.slots {
 			if a.revoked {
 				continue
 			}
@@ -118,10 +119,10 @@ func (m *Manager) Fsck() error {
 			}
 			backed++
 			if !gs.granted[a.phys] {
-				return fmt.Errorf("core: fsck: guest %d attachment %q phys slot %d not granted", id, name, a.phys)
+				return fmt.Errorf("core: fsck: guest %d attachment %q phys slot %d not granted", id, a.obj.name, a.phys)
 			}
 			if gs.physAtt[a.phys] != a {
-				return fmt.Errorf("core: fsck: guest %d attachment %q phys slot %d slot-table mismatch", id, name, a.phys)
+				return fmt.Errorf("core: fsck: guest %d attachment %q phys slot %d slot-table mismatch", id, a.obj.name, a.phys)
 			}
 			want[a.phys] = a.subCtx.Pointer()
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/elisa-go/elisa/internal/ept"
+	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
 )
 
@@ -86,6 +88,35 @@ func TestFsckDetectsTampering(t *testing.T) {
 	_ = gs.list.Set(h.SubIndex()+1, gs.gateCtx.Pointer())
 	if err := f.mgr.Fsck(); err == nil {
 		t.Fatal("stray slot not detected")
+	}
+}
+
+// TestFsckNamesLowestCorruptGuest: with several guests corrupt at once,
+// Fsck reports the one with the lowest VM id, every time — the audit
+// walks guests in VM-id order, not map order.
+func TestFsckNamesLowestCorruptGuest(t *testing.T) {
+	f := newFixture(t)
+	_, _ = f.mgr.CreateObject("obj", mem.PageSize)
+	var vms []*hv.VM
+	for i := 0; i < 6; i++ {
+		vm, g := f.newGuest(t, fmt.Sprintf("g%d", i))
+		if _, err := g.Attach("obj"); err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	// Corrupt every guest but the first.
+	for _, vm := range vms[1:] {
+		if err := f.mgr.guests[vm.ID()].list.Set(firstSubIdx, ept.Pointer(0xdead000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fmt.Sprintf("guest %d ", vms[1].ID())
+	for i := 0; i < 50; i++ {
+		err := f.mgr.Fsck()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d: Fsck = %v, want a report naming %q", i, err, want)
+		}
 	}
 }
 

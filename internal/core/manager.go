@@ -143,7 +143,12 @@ type Manager struct {
 	nextObjGPA mem.GPA
 
 	guests map[int]*guestState // by VM id
-	funcs  map[uint64]ObjectFunc
+	// order is the same guests in VM-id order: the registry every
+	// deterministic walk (the poller, RingStats, Fsck, recovery sweeps)
+	// ranges over instead of sorting map keys. addGuestLocked and
+	// dropGuestLocked keep it in step with guests.
+	order []*guestState
+	funcs map[uint64]ObjectFunc
 
 	// slotBudget is the per-guest cap on physical EPTP-list slots handed
 	// to sub contexts (see ManagerConfig.SlotBudget). Attachments beyond
@@ -175,10 +180,13 @@ type Manager struct {
 	// DrainRings worklist scratch, guarded by pollMu like drainCursor.
 	// The poller snapshots the live rings on every pass; reusing these
 	// slices keeps the steady-state pass allocation-free.
-	drainIDs     []int
-	drainVslots  []int
 	drainTargets []drainTarget
 	drainGroups  []drainGroup
+
+	// lockAcquire and lockRelease are the cost model's drainMu charges,
+	// read once here so the poller's per-ring visits do not copy the
+	// whole CostModel.
+	lockAcquire, lockRelease simtime.Duration
 
 	// recovery-side accounting (see RecoveryStats).
 	recoveries    uint64 // RecoverGuest completions
@@ -217,11 +225,12 @@ type guestState struct {
 	// physical EPTP list holds its sub context; at most budget slots are
 	// backed at once, and the LRU binding is evicted to make room. The
 	// gate switches only to physical slots; the vslot->phys table below is
-	// the gate code's slot table.
-	budget    int
-	nextVSlot int
-	vslots    map[int]*Attachment // by virtual slot, incl. revoked (stale)
-	physAtt   map[int]*Attachment // by physical slot, backed only
+	// the gate code's slot table. Virtual slots are handed out densely
+	// from firstSubIdx, so slots (indexed by vslot-firstSubIdx, see slot)
+	// holds every attachment the guest ever had, revoked ones included.
+	budget  int
+	slots   []*Attachment       // by virtual slot, incl. revoked (stale)
+	physAtt map[int]*Attachment // by physical slot, backed only
 
 	// attachments by object name; granted marks live *physical* EPTP-list
 	// slots the gate will let this guest switch to; retired holds detached
@@ -255,6 +264,16 @@ type guestState struct {
 	// inside a gate or sub context — the signal RecoverGuest keys on.
 	gateEntries uint64
 	gateExits   uint64
+}
+
+// slot returns the attachment at virtual slot vslot, revoked ones
+// included, or nil when the guest was never handed that slot.
+func (gs *guestState) slot(vslot int) *Attachment {
+	i := vslot - firstSubIdx
+	if i < 0 || i >= len(gs.slots) {
+		return nil
+	}
+	return gs.slots[i]
 }
 
 // Attachment is one (guest, object) grant: a sub EPT context plus its
@@ -349,6 +368,8 @@ func NewManager(h *hv.Hypervisor, cfg ManagerConfig) (*Manager, error) {
 		funcs:      make(map[uint64]ObjectFunc),
 		slotBudget: cfg.SlotBudget,
 	}
+	cost := h.Cost()
+	m.lockAcquire, m.lockRelease = cost.LockAcquire, cost.LockRelease
 	if err := m.registerHypercalls(); err != nil {
 		return nil, err
 	}
@@ -576,7 +597,7 @@ func (m *Manager) Revoke(guest *hv.VM, objName string) error {
 
 // unbindLocked releases an attachment's physical slot, if it has one:
 // list entry cleared, gate grant withdrawn, free-pool accounting updated.
-// The virtual slot stays in gs.vslots (marked stale by a.revoked) so stale
+// The virtual slot stays in gs.slots (marked stale by a.revoked) so stale
 // handles keep resolving to a clean gate refusal.
 func (m *Manager) unbindLocked(gs *guestState, a *Attachment) error {
 	if a.phys == physNone {

@@ -123,7 +123,7 @@ func (m *Manager) hcDetach(vm *hv.VM, args [4]uint64) (uint64, error) {
 	// the guest's default context (the guest may still hold data there,
 	// and may still poll queued completions); the frames are released by
 	// CleanupGuest when the guest goes away. The virtual slot stays in
-	// gs.vslots, marked revoked, so a stale handle is refused cleanly.
+	// gs.slots, marked revoked, so a stale handle is refused cleanly.
 	gs.retired = append(gs.retired, a)
 	m.hv.Trace().Emit(vm.VCPU().Clock().Now(), vm.Name(), trace.KindDetach,
 		"object %q vslot %d", name, a.vslot)
@@ -154,7 +154,7 @@ func (m *Manager) hcSlotFault(vm *hv.VM, args [4]uint64) (uint64, error) {
 		return 0, fmt.Errorf("core: guest %q has no ELISA state", vm.Name())
 	}
 	vslot := int(args[0])
-	a := gs.vslots[vslot]
+	a := gs.slot(vslot)
 	if a == nil || a.revoked {
 		return 0, fmt.Errorf("core: guest %q has no live attachment at virtual slot %d", vm.Name(), vslot)
 	}

@@ -142,7 +142,7 @@ func (m *Manager) recoverGuestLocked(guest *hv.VM) (midGate bool, rings []*hv.Ho
 	if err := gs.stack.Free(); err != nil {
 		return midGate, rings, err
 	}
-	delete(m.guests, guest.ID())
+	m.dropGuestLocked(gs)
 	m.recoveries++
 	m.inj.NoteRecovery("quarantine", guest.Name())
 	detail := "dead guest quarantined, attachments reclaimed"
@@ -163,13 +163,8 @@ func (m *Manager) recoverGuestLocked(guest *hv.VM) (midGate bool, rings []*hv.Ho
 func (m *Manager) RecoverDead() (int, error) {
 	m.mu.Lock()
 	var dead []*hv.VM
-	ids := make([]int, 0, len(m.guests))
-	for id := range m.guests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if gs := m.guests[id]; gs.vm.Dead() {
+	for _, gs := range m.order {
+		if gs.vm.Dead() {
 			dead = append(dead, gs.vm)
 		}
 	}
@@ -193,13 +188,7 @@ func (m *Manager) FsckRepair() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fixed := 0
-	ids := make([]int, 0, len(m.guests))
-	for id := range m.guests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		gs := m.guests[id]
+	for _, gs := range m.order {
 		repair := func(idx int, want ept.Pointer) error {
 			got, err := gs.list.Get(idx)
 			if err != nil {
@@ -307,23 +296,17 @@ func (m *Manager) PumpFaults(now simtime.Time) int {
 // deterministic.
 func (m *Manager) targetLocked(name string) *guestState {
 	if name != "" {
-		for _, gs := range m.guests {
+		for _, gs := range m.order {
 			if gs.vm.Name() == name {
 				return gs
 			}
 		}
 		return nil
 	}
-	best := -1
-	for id := range m.guests {
-		if best == -1 || id < best {
-			best = id
-		}
-	}
-	if best == -1 {
+	if len(m.order) == 0 {
 		return nil
 	}
-	return m.guests[best]
+	return m.order[0]
 }
 
 // RecoveryStats is the manager's recovery-side counter snapshot.

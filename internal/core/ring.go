@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -154,7 +153,7 @@ func (m *Manager) hcRingSetup(vm *hv.VM, args [4]uint64) (uint64, error) {
 		return 0, fmt.Errorf("core: guest %q has no ELISA state", vm.Name())
 	}
 	vslot := int(args[0])
-	a := gs.vslots[vslot]
+	a := gs.slot(vslot)
 	if a == nil || a.revoked {
 		return 0, fmt.Errorf("core: guest %q has no live attachment at virtual slot %d", vm.Name(), vslot)
 	}
@@ -349,7 +348,7 @@ func (m *Manager) ringStateFor(vmID, vslot int) *ringState {
 	if !ok {
 		return nil
 	}
-	a := gs.vslots[vslot]
+	a := gs.slot(vslot)
 	if a == nil || a.revoked {
 		return nil
 	}
@@ -791,10 +790,14 @@ func (rc *RingCaller) retryBusy(v *cpu.VCPU, ent retryEntry) (shm.Comp, bool, er
 // A group names its targets as a [start, end) range into the pass's
 // shared target list (see Manager.drainTargets) rather than holding its
 // own slice, so snapshotting a pass reuses one flat buffer instead of
-// allocating per guest.
+// allocating per guest. idle is what this pass's pass-1 visit of the
+// ring cost when that visit serviced nothing, and -1 otherwise (not yet
+// visited, or it serviced work): pass 2 charges it instead of re-reading
+// the ring.
 type drainTarget struct {
-	a  *Attachment
-	rs *ringState
+	a    *Attachment
+	rs   *ringState
+	idle simtime.Duration
 }
 type drainGroup struct {
 	weight     int
@@ -817,6 +820,18 @@ type drainGroup struct {
 // its share is trimmed by CompBusy bounce-backs instead of being left to
 // grow stale.
 //
+// Idle elision: the work-conserving pass does not re-read a ring whose
+// pass-1 visit serviced nothing; it charges the manager clock what that
+// visit cost (lock acquire, the drain snapshot's cursor reads, lock
+// release) at the same point in the walk. This is exact because nothing
+// on the poller's goroutine writes a ring's cursors between the passes:
+// an idle visit's drain transaction publishes nothing, manager functions
+// run against objects and exchanges (never rings), and every other
+// consumer-side writer (failRing, the dead-ring sweep, releaseRings)
+// needs pollMu, which the pass holds. A guest on another goroutine may
+// submit or poll in between; the elided read then observes that write
+// as landing after pass 2, which is already a legal interleaving.
+//
 // DrainRings serialises on an internal lock, and the drained work charges
 // the manager vCPU's clock — callers must not race it against other
 // manager-clock work (negotiations) from concurrent goroutines if they
@@ -825,42 +840,25 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	m.pollMu.Lock()
 	defer m.pollMu.Unlock()
 
-	// Snapshot the live rings in (VM id, vslot) order, grouped by guest.
-	// The snapshot slices are pollMu-guarded scratch reused across passes:
-	// the poller runs on every scheduler tick, and rebuilding its worklist
-	// from fresh slices dominated the ring kernels' allocation profile.
+	// Snapshot the live rings in (VM id, vslot) order, grouped by guest,
+	// straight off the ordered registry. The snapshot slices are
+	// pollMu-guarded scratch reused across passes: the poller runs on
+	// every scheduler tick, so its worklist must not allocate.
 	m.mu.Lock()
-	ids := m.drainIDs[:0]
-	for id := range m.guests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	targets := m.drainTargets[:0]
 	groups := m.drainGroups[:0]
-	for _, id := range ids {
-		gs := m.guests[id]
-		vslots := m.drainVslots[:0]
-		for vs := range gs.vslots {
-			vslots = append(vslots, vs)
-		}
-		sort.Ints(vslots)
+	for _, gs := range m.order {
 		groupStart := len(targets)
-		for _, vs := range vslots {
-			a := gs.vslots[vs]
-			if a != nil && !a.revoked && a.ring != nil {
-				targets = append(targets, drainTarget{a, a.ring})
+		for _, a := range gs.slots {
+			if !a.revoked && a.ring != nil {
+				targets = append(targets, drainTarget{a: a, rs: a.ring, idle: -1})
 			}
 		}
-		m.drainVslots = vslots[:0]
 		if len(targets) > groupStart {
-			w := gs.pollWeight
-			if w <= 0 {
-				w = 1
-			}
-			groups = append(groups, drainGroup{weight: w, start: groupStart, end: len(targets)})
+			groups = append(groups, drainGroup{weight: max(gs.pollWeight, 1), start: groupStart, end: len(targets)})
 		}
 	}
-	m.drainIDs, m.drainTargets, m.drainGroups = ids, targets, groups
+	m.drainTargets, m.drainGroups = targets, groups
 	m.mu.Unlock()
 	if len(groups) == 0 {
 		return 0, nil
@@ -869,13 +867,11 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	// Unbounded pass: service everything, in order — no shares to split.
 	if budget <= 0 {
 		total := 0
-		for _, g := range groups {
-			for _, t := range targets[g.start:g.end] {
-				n, err := m.drainRing(t.a, t.rs, -1)
-				total += n
-				if err != nil {
-					return total, err
-				}
+		for _, t := range targets {
+			n, err := m.drainRing(t.a, t.rs, -1)
+			total += n
+			if err != nil {
+				return total, err
 			}
 		}
 		return total, nil
@@ -892,14 +888,8 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	// Pass 1: proportional shares, clamped to the remaining budget.
 	for i := 0; i < len(groups) && total < budget; i++ {
 		g := groups[(start+i)%len(groups)]
-		share := budget * g.weight / sumW
-		if share < 1 {
-			share = 1
-		}
-		if share > budget-total {
-			share = budget - total
-		}
-		n, err := m.drainRingGroup(targets[g.start:g.end], share)
+		share := max(budget*g.weight/sumW, 1)
+		n, err := m.drainRingGroup(targets[g.start:g.end], min(share, budget-total), false)
 		total += n
 		if err != nil {
 			return total, err
@@ -909,7 +899,7 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	// weighted fairness never idles the poller (work conservation).
 	for i := 0; i < len(groups) && total < budget; i++ {
 		g := groups[(start+i)%len(groups)]
-		n, err := m.drainRingGroup(targets[g.start:g.end], budget-total)
+		n, err := m.drainRingGroup(targets[g.start:g.end], budget-total, true)
 		total += n
 		if err != nil {
 			return total, err
@@ -941,9 +931,8 @@ func (m *Manager) trimRing(a *Attachment, rs *ringState) error {
 	rs.drainMu.Lock()
 	defer rs.drainMu.Unlock()
 	clk := m.vm.VCPU().Clock()
-	cost := m.hv.Cost()
-	clk.Advance(cost.LockAcquire)
-	defer clk.Advance(cost.LockRelease)
+	clk.Advance(m.lockAcquire)
+	defer clk.Advance(m.lockRelease)
 	txn, err := rs.host.BeginDrain()
 	if err != nil {
 		return err
@@ -978,18 +967,30 @@ func (m *Manager) trimRing(a *Attachment, rs *ringState) error {
 }
 
 // drainRingGroup services up to limit descriptors across one guest's
-// rings (its slice of the pass's target list), in vslot order. Callers
-// hold pollMu.
-func (m *Manager) drainRingGroup(targets []drainTarget, limit int) (int, error) {
+// rings (its slice of the pass's target list), in vslot order. In pass 1
+// it records the cost of each visit that serviced nothing; in pass 2
+// (elide) it charges that cost in place of re-reading the ring (see
+// DrainRings for why this is exact). Callers hold pollMu.
+func (m *Manager) drainRingGroup(targets []drainTarget, limit int, elide bool) (int, error) {
+	clk := m.vm.VCPU().Clock()
 	total := 0
-	for _, t := range targets {
+	for i := range targets {
 		if total >= limit {
 			break
 		}
+		t := &targets[i]
+		if elide && t.idle >= 0 {
+			clk.Advance(t.idle)
+			continue
+		}
+		t0 := clk.Now()
 		n, err := m.drainRing(t.a, t.rs, limit-total)
 		total += n
 		if err != nil {
 			return total, err
+		}
+		if n == 0 && !elide {
+			t.idle = clk.Elapsed(t0)
 		}
 	}
 	return total, nil
@@ -1001,9 +1002,8 @@ func (m *Manager) drainRing(a *Attachment, rs *ringState, limit int) (int, error
 	rs.drainMu.Lock()
 	defer rs.drainMu.Unlock()
 	clk := m.vm.VCPU().Clock()
-	cost := m.hv.Cost()
-	clk.Advance(cost.LockAcquire)
-	defer clk.Advance(cost.LockRelease)
+	clk.Advance(m.lockAcquire)
+	defer clk.Advance(m.lockRelease)
 	txn, err := rs.host.BeginDrain()
 	if err != nil {
 		return 0, err
@@ -1249,23 +1249,11 @@ func (m *Manager) RingStats() []RingStats {
 		rs     *ringState
 	}
 	m.mu.Lock()
-	ids := make([]int, 0, len(m.guests))
-	for id := range m.guests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var targets []target
-	for _, id := range ids {
-		gs := m.guests[id]
-		vslots := make([]int, 0, len(gs.vslots))
-		for vs := range gs.vslots {
-			vslots = append(vslots, vs)
-		}
-		sort.Ints(vslots)
-		for _, vs := range vslots {
-			a := gs.vslots[vs]
-			if a != nil && a.ring != nil {
-				targets = append(targets, target{gs.vm.Name(), a.obj.name, vs, a.ring})
+	for _, gs := range m.order {
+		for _, a := range gs.slots {
+			if a.ring != nil {
+				targets = append(targets, target{gs.vm.Name(), a.obj.name, a.vslot, a.ring})
 			}
 		}
 	}

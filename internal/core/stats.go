@@ -115,17 +115,16 @@ func (m *Manager) SlotTable(guest *hv.VM) ([]SlotBinding, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
 	}
-	out := make([]SlotBinding, 0, len(gs.vslots))
-	for vslot, a := range gs.vslots {
+	out := make([]SlotBinding, 0, len(gs.slots))
+	for _, a := range gs.slots {
 		out = append(out, SlotBinding{
-			VSlot:   vslot,
+			VSlot:   a.vslot,
 			Phys:    a.phys,
 			Object:  a.obj.name,
 			LastUse: a.lastUse,
 			Revoked: a.revoked,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VSlot < out[j].VSlot })
 	return out, nil
 }
 
@@ -150,7 +149,7 @@ func (m *Manager) DescribeGuest(guest *hv.VM) (string, error) {
 		return "", fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
 	}
 	s := fmt.Sprintf("guest %q: gate@%#x, %d attachment(s), %d/%d slots backed, next vslot %d, faults=%d evictions=%d\n",
-		guest.Name(), uint64(gs.gateGPA), len(gs.attachments), len(gs.physAtt), gs.budget, gs.nextVSlot, gs.faults, gs.evictions)
+		guest.Name(), uint64(gs.gateGPA), len(gs.attachments), len(gs.physAtt), gs.budget, firstSubIdx+len(gs.slots), gs.faults, gs.evictions)
 	for name, a := range gs.attachments {
 		state := "live"
 		if a.revoked {

@@ -1,9 +1,12 @@
 package perfgate
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/core"
+	"github.com/elisa-go/elisa/internal/hv"
+	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/shm"
 	"github.com/elisa-go/elisa/internal/simtime"
 )
@@ -106,5 +109,53 @@ func TestZeroAllocLaneRingDrain(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("manager-poller drain allocates %v per 32-op batch, want 0", n)
+	}
+
+	// Many idle rings, one busy: 6 guests x 8 rings, where every pass
+	// visits 47 empty rings in pass 1 and elides them in pass 2.
+	for i := 0; i < 7; i++ {
+		if _, err := f.mgr.CreateObject(fmt.Sprintf("idle%d", i), mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idleRings := func(vm *hv.VM, g *core.Guest, objs []string) {
+		for _, obj := range objs {
+			h, err := g.Attach(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: 8}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	objs := []string{"perf", "idle0", "idle1", "idle2", "idle3", "idle4", "idle5", "idle6"}
+	idleRings(f.vm, f.g, objs[1:])
+	for i := 0; i < 5; i++ {
+		vm, err := f.hv.CreateVM(fmt.Sprintf("idle-guest%d", i), 16*mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := core.NewGuest(vm, f.mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idleRings(vm, g, objs)
+	}
+	if got := len(f.mgr.RingStats()); got != 48 {
+		t.Fatalf("fixture has %d rings, want 48", got)
+	}
+	drainIdle := func() {
+		submit()
+		for rc.Pending() > 0 {
+			if _, err := f.mgr.DrainRings(32); err != nil {
+				t.Fatal(err)
+			}
+			poll()
+		}
+	}
+	drainIdle() // warm the poller's worklist scratch at 48 rings
+	if n := testing.AllocsPerRun(100, drainIdle); n != 0 {
+		t.Fatalf("manager-poller drain over 47 idle rings allocates %v per 32-op batch, want 0", n)
 	}
 }

@@ -58,6 +58,7 @@ type kernelFixture struct {
 	hv  *hv.Hypervisor
 	mgr *core.Manager
 	vm  *hv.VM
+	g   *core.Guest
 	h   *core.Handle
 }
 
@@ -97,7 +98,7 @@ func newKernelFixture() (*kernelFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &kernelFixture{hv: h, mgr: mgr, vm: vm, h: handle}, nil
+	return &kernelFixture{hv: h, mgr: mgr, vm: vm, g: g, h: handle}, nil
 }
 
 func scale(quick bool, full, q int) int {
