@@ -11,20 +11,23 @@ import (
 // BenchmarkDrainRingsIdle is the poll layer's own kernel: one bounded
 // DrainRings pass over 6 guests x 8 rings, the shape of a fleet where
 // most rings sit empty between bursts. "all-idle" is a pass with nothing
-// queued anywhere; "one-busy" keeps one ring fed with 8 descriptors per
-// pass (submitted and polled inside the timed loop), so pass 2 runs with
-// leftover budget and the idle rings are elided. Run with
+// queued anywhere, so every visit is an idle-memo hit; "one-busy" keeps
+// one ring fed with 8 descriptors per pass (submitted and polled inside
+// the timed loop), so pass 2 runs with leftover budget over the other,
+// memoised rings; "memo-miss" has one guest rewrite a cursor of each of
+// its 8 rings with the value it already holds before every pass, so
+// those rings' header frames are dirty and the poller re-reads them —
+// the cost of the miss path beside the hit path (the eight guest stores
+// are inside the timed loop). Run with
 //
 //	go test -run '^$' -bench DrainRingsIdle ./internal/core/
 func BenchmarkDrainRingsIdle(b *testing.B) {
-	for _, busy := range []bool{false, true} {
-		name := "all-idle"
-		if busy {
-			name = "one-busy"
-		}
+	for _, name := range []string{"all-idle", "one-busy", "memo-miss"} {
+		busy, dirty := name == "one-busy", name == "memo-miss"
 		b.Run(name, func(b *testing.B) {
 			f := newSizedFixture(b, 16*1024*1024)
 			var busyRing *RingCaller
+			var firstGuest []*RingCaller
 			for i := 0; i < 8; i++ {
 				if _, err := f.mgr.CreateObject(fmt.Sprintf("o%d", i), mem.PageSize); err != nil {
 					b.Fatal(err)
@@ -44,11 +47,21 @@ func BenchmarkDrainRingsIdle(b *testing.B) {
 					if busyRing == nil {
 						busyRing = rc
 					}
+					if gi == 0 {
+						firstGuest = append(firstGuest, rc)
+					}
 				}
 			}
 			v := busyRing.h.g.vm.VCPU()
 			var comps [8]shm.Comp
 			pass := func() {
+				if dirty {
+					for _, rc := range firstGuest {
+						if err := v.WriteU64GPA(rc.GPA(), 0); err != nil { // sqHead is still 0
+							b.Fatal(err)
+						}
+					}
+				}
 				if busy {
 					for i := 0; i < len(comps); i++ {
 						if err := busyRing.Submit(v, fnNop); err != nil {

@@ -1,12 +1,18 @@
 package core
 
 // Reference model for the manager poller. refDrainRings is DrainRings as
-// it stood before idle elision and the ordered guest registry: it
+// it stood before the idle memo and the ordered guest registry: it
 // rebuilds its worklist from the guests map with two sorts on every pass
-// and re-reads every ring in the work-conserving pass. The optimised
-// poller must be indistinguishable from it — same manager clock, same
-// returned counts, same ring accounting, same causal event stream — on
-// any sequence of submits, polls, revokes, detaches and passes.
+// and reads every ring on every visit, never consulting the memo or the
+// dirty bitmap. The only rule it shares with the real poller is the
+// corrupt-ring one (a ring whose header is out of geometry is skipped
+// for the rest of the pass, and the pass returns its error at the end).
+// The optimised poller must be indistinguishable from it — same manager
+// clock, same returned counts and errors, same ring accounting, same
+// causal event stream — on any sequence of submits, polls, revokes,
+// detaches and passes, and of the writers that bypass the poller: raw
+// guest stores into the ring header and gate-path flushes on the
+// guest's own vCPU.
 
 import (
 	"fmt"
@@ -24,7 +30,8 @@ import (
 
 // refDrainRings is the reference poller (see the file comment). It
 // shares drainRing, trimRing and the rotating cursor with the real one;
-// only the worklist build and the pass structure are the old ones.
+// the worklist build, the pass structure and the visits are the old
+// ones.
 func refDrainRings(m *Manager, budget int) (int, error) {
 	m.pollMu.Lock()
 	defer m.pollMu.Unlock()
@@ -67,18 +74,30 @@ func refDrainRings(m *Manager, budget int) (int, error) {
 		return 0, nil
 	}
 
+	// corrupt returns the pass's first corrupt-ring error in walk order.
+	corrupt := func() error {
+		for _, g := range groups {
+			for _, t := range g.targets {
+				if t.corrupt != nil {
+					return t.corrupt
+				}
+			}
+		}
+		return nil
+	}
+
 	if budget <= 0 {
 		total := 0
 		for _, g := range groups {
-			for _, t := range g.targets {
-				n, err := m.drainRing(t.a, t.rs, -1)
+			for i := range g.targets {
+				n, err := refVisit(m, &g.targets[i], -1)
 				total += n
 				if err != nil {
 					return total, err
 				}
 			}
 		}
-		return total, nil
+		return total, corrupt()
 	}
 
 	sumW := 0
@@ -115,31 +134,45 @@ func refDrainRings(m *Manager, budget int) (int, error) {
 	if m.ov.Enabled && total >= budget {
 		for i := 0; i < len(groups); i++ {
 			g := groups[(start+i)%len(groups)]
-			for _, t := range g.targets {
-				if err := m.trimRing(t.a, t.rs); err != nil {
+			for i := range g.targets {
+				t := &g.targets[i]
+				if t.corrupt != nil {
+					continue
+				}
+				if err := t.skipCorrupt(m.trimRing(t.a, t.rs)); err != nil {
 					return total, err
 				}
 			}
 		}
 	}
-	return total, nil
+	return total, corrupt()
 }
 
 // refDrainRingGroup visits every ring of one guest until limit
 // descriptors are serviced, re-reading idle rings each time.
 func refDrainRingGroup(m *Manager, targets []drainTarget, limit int) (int, error) {
 	total := 0
-	for _, t := range targets {
+	for i := range targets {
 		if total >= limit {
 			break
 		}
-		n, err := m.drainRing(t.a, t.rs, limit-total)
+		n, err := refVisit(m, &targets[i], limit-total)
 		total += n
 		if err != nil {
 			return total, err
 		}
 	}
 	return total, nil
+}
+
+// refVisit reads and services one ring with no memo; a corrupt ring is
+// recorded on its target and skipped for the rest of the pass.
+func refVisit(m *Manager, t *drainTarget, limit int) (int, error) {
+	if t.corrupt != nil {
+		return 0, nil
+	}
+	n, err := m.drainRing(t.a, t.rs, limit)
+	return n, t.skipCorrupt(err)
 }
 
 // drainScript decodes a byte string into fixture shapes and operations;
@@ -251,7 +284,9 @@ func errString(err error) string {
 
 // step applies one scripted operation and reports what it observed. The
 // operand bytes are read up front so both worlds consume the script
-// identically whatever the operation does.
+// identically whatever the operation does. Operation bytes 0–9 keep the
+// meanings the committed seeds were written for; 10–13 are the writers
+// that bypass the poller.
 func (w *drainWorld) step(op, a, b int) drainOutcome {
 	m := w.f.mgr
 	var out drainOutcome
@@ -262,7 +297,7 @@ func (w *drainWorld) step(op, a, b int) drainOutcome {
 	if len(w.rings) > 0 {
 		r = w.rings[a%len(w.rings)]
 	}
-	switch op % 10 {
+	switch op % 16 {
 	case 0, 1, 2, 3:
 		out.Op = "submit"
 		v := r.vm.VCPU()
@@ -294,6 +329,11 @@ func (w *drainWorld) step(op, a, b int) drainOutcome {
 			out.Op = "weight"
 			out.Err = errString(m.SetPollWeight(r.vm, b%5))
 		}
+	case 10, 11:
+		out.Op, out.Err = w.headerWrite(r, b)
+	case 12, 13:
+		out.Op = "flush"
+		out.Err = errString(r.rc.Flush(r.vm.VCPU()))
 	default:
 		out.Op = "drain"
 		budget := b%24 - 4 // -4..19: unbounded passes and tight budgets both
@@ -304,6 +344,64 @@ func (w *drainWorld) step(op, a, b int) drainOutcome {
 	}
 	out.Clock = m.vm.VCPU().Clock().Now()
 	return out
+}
+
+// headerWrite is a raw guest store into its own ring header, through its
+// default-context mapping and behind the poller's back:
+//
+//   - rewrite a cursor or the doorbell with the value it already holds
+//     (the header frame turns dirty, the ring state does not change);
+//   - push a descriptor by hand, writing its record and bumping sqTail
+//     within the protocol (the caller is re-attached afterwards so its
+//     cached producer cursor follows);
+//   - rarely, forge the completion head out of geometry, which the
+//     pollers must refuse with shm.ErrCorruptRing.
+//
+// Rings of dead attachments are left alone.
+func (w *drainWorld) headerWrite(r drainWorldRing, b int) (string, string) {
+	if r.rc.rs.dead.Load() {
+		return "header-dead", ""
+	}
+	v, base := r.vm.VCPU(), r.rc.GPA()
+	read := func(off int) uint64 {
+		x, err := v.ReadU64GPA(base + mem.GPA(off))
+		if err != nil {
+			panic(err) // a live ring stays mapped in the default context
+		}
+		return x
+	}
+	write := func(off int, x uint64) string { return errString(v.WriteU64GPA(base+mem.GPA(off), x)) }
+	depth := uint64(r.rc.Depth())
+	switch {
+	case b%64 == 63:
+		return "header-forge", write(16, read(24)+depth+1)
+	case b%8 >= 5:
+		sqHead, sqTail := read(0), read(8)
+		if sqTail-sqHead >= depth {
+			return "header-push-full", ""
+		}
+		rec := make([]byte, 48)
+		rec[0] = byte(fnNop + uint64(b/8%2)*(fnObjAdd-fnNop))
+		if err := v.WriteGPA(base+mem.GPA(48+sqTail%depth*48), rec); err != nil {
+			return "header-push", errString(err)
+		}
+		if err := write(8, sqTail+1); err != "" {
+			return "header-push", err
+		}
+		win, err := shm.NewGPAWindow(v, base, shm.CallRingBytes(int(depth)))
+		if err != nil {
+			return "header-push", errString(err)
+		}
+		if r.rc.ring, err = shm.OpenCallRing(win); err != nil {
+			return "header-push", errString(err)
+		}
+		r.rc.pending++
+		r.rc.inFlight++
+		return "header-push", ""
+	default:
+		off := [...]int{0, 8, 16, 24, 40}[b%8] // the four cursors, the doorbell
+		return "header-rewrite", write(off, read(off))
+	}
 }
 
 // checkDrainMatchesReference runs script through a world on the real

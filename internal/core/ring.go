@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -123,6 +124,13 @@ type ringState struct {
 	// (a manager function draining through the same ring) to a heap one.
 	hostCtx     CallContext
 	hostCtxBusy bool
+
+	// The poller's idle memo, guarded by pollMu (see DrainRings): idleOK
+	// says the poller's last visit serviced nothing and idleCost is what
+	// that visit charged the manager clock. It stays valid for as long as
+	// the ring's header frame is clean.
+	idleOK   bool
+	idleCost simtime.Duration
 }
 
 func (rs *ringState) recordBatch(n int) {
@@ -571,7 +579,10 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 	}
 	v.Charge(cost.LockRelease)
 	rs.drainMu.Unlock()
-	if drainErr != nil {
+	// A forged ring header (ErrCorruptRing) fails the flush but is no
+	// reason to leave the guest in the sub context: take the outbound
+	// crossing as usual and report the error after it.
+	if drainErr != nil && !errors.Is(drainErr, shm.ErrCorruptRing) {
 		return drainErr
 	}
 	if n > 0 {
@@ -605,7 +616,7 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 		h.recordSpan(rec, firstFn, n, false, t0, tGate, tSub, tFn, v.Clock().Now(), h.exch)
 	}
 	rc.pending = 0
-	return nil
+	return drainErr
 }
 
 // flushDrain is Flush's in-sub-context drain session, a named method so
@@ -790,14 +801,13 @@ func (rc *RingCaller) retryBusy(v *cpu.VCPU, ent retryEntry) (shm.Comp, bool, er
 // A group names its targets as a [start, end) range into the pass's
 // shared target list (see Manager.drainTargets) rather than holding its
 // own slice, so snapshotting a pass reuses one flat buffer instead of
-// allocating per guest. idle is what this pass's pass-1 visit of the
-// ring cost when that visit serviced nothing, and -1 otherwise (not yet
-// visited, or it serviced work): pass 2 charges it instead of re-reading
-// the ring.
+// allocating per guest. corrupt is the ErrCorruptRing this pass's visit
+// of the ring returned, if any: the rest of the pass skips the ring, and
+// DrainRings returns the first such error once the pass ends.
 type drainTarget struct {
-	a    *Attachment
-	rs   *ringState
-	idle simtime.Duration
+	a       *Attachment
+	rs      *ringState
+	corrupt error
 }
 type drainGroup struct {
 	weight     int
@@ -820,17 +830,37 @@ type drainGroup struct {
 // its share is trimmed by CompBusy bounce-backs instead of being left to
 // grow stale.
 //
-// Idle elision: the work-conserving pass does not re-read a ring whose
-// pass-1 visit serviced nothing; it charges the manager clock what that
-// visit cost (lock acquire, the drain snapshot's cursor reads, lock
-// release) at the same point in the walk. This is exact because nothing
-// on the poller's goroutine writes a ring's cursors between the passes:
-// an idle visit's drain transaction publishes nothing, manager functions
-// run against objects and exchanges (never rings), and every other
-// consumer-side writer (failRing, the dead-ring sweep, releaseRings)
-// needs pollMu, which the pass holds. A guest on another goroutine may
-// submit or poll in between; the elided read then observes that write
-// as landing after pass 2, which is already a legal interleaving.
+// Idle memo: most rings sit empty between bursts, so the poller does
+// not re-read a ring nobody has written since its last idle visit. When
+// a visit services nothing, the ring records what it charged the manager
+// clock (lock acquire, the drain snapshot's four cursor reads, lock
+// release). A later visit, in this pass or any later one, charges that
+// recorded cost at the same point in the walk and skips the ring, as
+// long as the ring's header frame is still clean in the physical-memory
+// dirty bitmap (mem.PhysMem). This is exact because:
+//
+//   - every PhysMem writer — a guest's own stores through its mapping,
+//     the gate-path flush, the poller's own drain and trim transactions,
+//     failRing and the dead-ring sweep — marks the frames it wrote after
+//     the bytes land;
+//   - the poller clears the header frame's bit with TakeDirty under the
+//     ring's drainMu before BeginDrain reads the cursors, so a write its
+//     read misses leaves the bit set for the next visit;
+//   - an idle visit writes nothing and reads only the header frame, and
+//     its outcome and cost depend only on those four cursors and the
+//     ring's fixed geometry, so a clean header means a repeat visit
+//     would see the same cursors, service nothing and charge the same
+//     cost.
+//
+// The poller is the only observer of ring header frames (TakeDirty is
+// destructive, so a frame can have only one); nothing else may take
+// their bits.
+//
+// A ring whose cursors are out of geometry (shm.ErrCorruptRing: the
+// guest forged its header) is skipped for the rest of the pass and the
+// other guests' rings are still serviced, so one hostile guest cannot
+// starve the tenants after it; DrainRings returns the first such error
+// once the pass ends.
 //
 // DrainRings serialises on an internal lock, and the drained work charges
 // the manager vCPU's clock — callers must not race it against other
@@ -851,7 +881,7 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 		groupStart := len(targets)
 		for _, a := range gs.slots {
 			if !a.revoked && a.ring != nil {
-				targets = append(targets, drainTarget{a: a, rs: a.ring, idle: -1})
+				targets = append(targets, drainTarget{a: a, rs: a.ring})
 			}
 		}
 		if len(targets) > groupStart {
@@ -867,14 +897,14 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	// Unbounded pass: service everything, in order — no shares to split.
 	if budget <= 0 {
 		total := 0
-		for _, t := range targets {
-			n, err := m.drainRing(t.a, t.rs, -1)
+		for i := range targets {
+			n, err := m.pollRing(&targets[i], -1)
 			total += n
 			if err != nil {
 				return total, err
 			}
 		}
-		return total, nil
+		return total, corruptErr(targets)
 	}
 
 	sumW := 0
@@ -889,7 +919,7 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	for i := 0; i < len(groups) && total < budget; i++ {
 		g := groups[(start+i)%len(groups)]
 		share := max(budget*g.weight/sumW, 1)
-		n, err := m.drainRingGroup(targets[g.start:g.end], min(share, budget-total), false)
+		n, err := m.drainRingGroup(targets[g.start:g.end], min(share, budget-total))
 		total += n
 		if err != nil {
 			return total, err
@@ -899,7 +929,7 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	// weighted fairness never idles the poller (work conservation).
 	for i := 0; i < len(groups) && total < budget; i++ {
 		g := groups[(start+i)%len(groups)]
-		n, err := m.drainRingGroup(targets[g.start:g.end], budget-total, true)
+		n, err := m.drainRingGroup(targets[g.start:g.end], budget-total)
 		total += n
 		if err != nil {
 			return total, err
@@ -912,14 +942,39 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	if m.ov.Enabled && total >= budget {
 		for i := 0; i < len(groups); i++ {
 			g := groups[(start+i)%len(groups)]
-			for _, t := range targets[g.start:g.end] {
-				if err := m.trimRing(t.a, t.rs); err != nil {
+			for i := g.start; i < g.end; i++ {
+				t := &targets[i]
+				if t.corrupt != nil {
+					continue
+				}
+				if err := t.skipCorrupt(m.trimRing(t.a, t.rs)); err != nil {
 					return total, err
 				}
 			}
 		}
 	}
-	return total, nil
+	return total, corruptErr(targets)
+}
+
+// skipCorrupt records err on the target when it is an ErrCorruptRing, so
+// the rest of the pass skips the ring, and returns every other error.
+func (t *drainTarget) skipCorrupt(err error) error {
+	if errors.Is(err, shm.ErrCorruptRing) {
+		t.corrupt = err
+		return nil
+	}
+	return err
+}
+
+// corruptErr returns the first ErrCorruptRing a pass's visits recorded,
+// in walk order, or nil.
+func corruptErr(targets []drainTarget) error {
+	for _, t := range targets {
+		if t.corrupt != nil {
+			return t.corrupt
+		}
+	}
+	return nil
 }
 
 // trimRing bounces a saturated ring's excess descriptors back as
@@ -935,7 +990,7 @@ func (m *Manager) trimRing(a *Attachment, rs *ringState) error {
 	defer clk.Advance(m.lockRelease)
 	txn, err := rs.host.BeginDrain()
 	if err != nil {
-		return err
+		return fmt.Errorf("core: ring %q/%q: %w", a.guest.Name(), a.obj.name, err)
 	}
 	n := 0
 	for txn.Pending() > allowed && txn.CQFree() > 0 {
@@ -967,46 +1022,61 @@ func (m *Manager) trimRing(a *Attachment, rs *ringState) error {
 }
 
 // drainRingGroup services up to limit descriptors across one guest's
-// rings (its slice of the pass's target list), in vslot order. In pass 1
-// it records the cost of each visit that serviced nothing; in pass 2
-// (elide) it charges that cost in place of re-reading the ring (see
-// DrainRings for why this is exact). Callers hold pollMu.
-func (m *Manager) drainRingGroup(targets []drainTarget, limit int, elide bool) (int, error) {
-	clk := m.vm.VCPU().Clock()
+// rings (its slice of the pass's target list), in vslot order. Callers
+// hold pollMu.
+func (m *Manager) drainRingGroup(targets []drainTarget, limit int) (int, error) {
 	total := 0
 	for i := range targets {
 		if total >= limit {
 			break
 		}
-		t := &targets[i]
-		if elide && t.idle >= 0 {
-			clk.Advance(t.idle)
-			continue
-		}
-		t0 := clk.Now()
-		n, err := m.drainRing(t.a, t.rs, limit-total)
+		n, err := m.pollRing(&targets[i], limit-total)
 		total += n
 		if err != nil {
 			return total, err
-		}
-		if n == 0 && !elide {
-			t.idle = clk.Elapsed(t0)
 		}
 	}
 	return total, nil
 }
 
+// pollRing is one poller visit of a ring: service up to limit descriptors
+// (limit < 0: all queued), or charge the ring's idle memo when it holds
+// and the header frame is clean (see DrainRings). A ring found corrupt
+// is recorded on the target and skipped by the rest of the pass; only
+// other errors are returned. Callers hold pollMu.
+func (m *Manager) pollRing(t *drainTarget, limit int) (int, error) {
+	if t.corrupt != nil {
+		return 0, nil
+	}
+	rs := t.rs
+	clk := m.vm.VCPU().Clock()
+	if rs.idleOK && !rs.region.Dirty(0) {
+		clk.Advance(rs.idleCost)
+		return 0, nil
+	}
+	t0 := clk.Now()
+	n, err := m.drainRing(t.a, rs, limit)
+	rs.idleOK = n == 0 && err == nil
+	if rs.idleOK {
+		rs.idleCost = clk.Elapsed(t0)
+	}
+	return n, t.skipCorrupt(err)
+}
+
 // drainRing services up to limit descriptors of one ring (limit < 0: all
-// queued) as host-side manager code. Callers hold pollMu.
+// queued) as host-side manager code. It takes the ring header's dirty
+// bit before the drain snapshot reads the cursors, which is what keeps
+// the poller's idle memo exact (see DrainRings). Callers hold pollMu.
 func (m *Manager) drainRing(a *Attachment, rs *ringState, limit int) (int, error) {
 	rs.drainMu.Lock()
 	defer rs.drainMu.Unlock()
 	clk := m.vm.VCPU().Clock()
 	clk.Advance(m.lockAcquire)
 	defer clk.Advance(m.lockRelease)
+	rs.region.TakeDirty(0)
 	txn, err := rs.host.BeginDrain()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: ring %q/%q: %w", a.guest.Name(), a.obj.name, err)
 	}
 	var n int
 	var bodyErr error

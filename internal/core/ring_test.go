@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -303,5 +304,144 @@ func TestRingDoorbellRaceWithPoller(t *testing.T) {
 	}
 	if st.Failed != 0 {
 		t.Fatalf("failed = %d, want 0", st.Failed)
+	}
+}
+
+// TestDrainRingsRefusesForgedRingHeader: a guest forges its own ring
+// header through its default-context mapping (a completion head far past
+// the tail, a submission tail millions past the head). The poller must
+// refuse that ring with shm.ErrCorruptRing instead of servicing garbage
+// descriptors, keep servicing the honest guests' rings in the same pass
+// (whether or not the hostile guest comes first), and return the error
+// once the pass ends. The hostile guest's own gate flush fails the same
+// way but still brings its vCPU back to the default context.
+func TestDrainRingsRefusesForgedRingHeader(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.mgr.CreateObject("obj", 4096); err != nil {
+		t.Fatal(err)
+	}
+	var rings []*RingCaller
+	for _, name := range []string{"hostile", "honest1", "honest2"} {
+		vm, g := f.newGuest(t, name)
+		h, err := g.Attach("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := h.Ring(vm.VCPU(), RingConfig{Depth: 4, Deadline: farDeadline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rings = append(rings, rc)
+	}
+	hostile := rings[0]
+	hostileV := hostile.h.g.vm.VCPU()
+	// One honest submit first, so the guest's own flush below has
+	// something queued in its view and takes the gate.
+	if err := hostile.Submit(hostileV, fnNop); err != nil {
+		t.Fatal(err)
+	}
+	if err := hostileV.WriteU64GPA(hostile.GPA()+16, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if err := hostileV.WriteU64GPA(hostile.GPA()+8, 1<<22); err != nil {
+		t.Fatal(err)
+	}
+
+	// Unbounded passes and bounded passes whose rotation starts at each
+	// guest in turn.
+	for _, budget := range []int{0, 4, 4, 4, -1} {
+		for _, rc := range rings[1:] {
+			v := rc.h.g.vm.VCPU()
+			for i := 0; i < 2; i++ {
+				if err := rc.Submit(v, fnNop); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n, err := f.mgr.DrainRings(budget)
+		if !errors.Is(err, shm.ErrCorruptRing) {
+			t.Fatalf("budget %d: DrainRings err = %v, want ErrCorruptRing", budget, err)
+		}
+		if n != 4 {
+			t.Fatalf("budget %d: serviced %d descriptors, want the honest guests' 4", budget, n)
+		}
+		for _, rc := range rings[1:] {
+			var comps [4]shm.Comp
+			if got, err := rc.Poll(rc.h.g.vm.VCPU(), comps[:]); err != nil || got != 2 {
+				t.Fatalf("budget %d: honest guest polled %d completions (err %v), want 2", budget, got, err)
+			}
+		}
+	}
+	for _, st := range f.mgr.RingStats() {
+		if st.Guest == "hostile" && (st.Drained != 0 || st.Flushed != 0) {
+			t.Fatalf("forged ring was serviced: %+v", st)
+		}
+	}
+
+	if err := hostile.Flush(hostileV); !errors.Is(err, shm.ErrCorruptRing) {
+		t.Fatalf("hostile Flush err = %v, want ErrCorruptRing", err)
+	}
+	if hostileV.EPTP() != hostile.h.g.vm.DefaultEPT().Pointer() {
+		t.Fatal("a refused flush left the guest outside its default context")
+	}
+}
+
+// TestDrainRingsTrimSkipsForgedRing: with overload trimming armed and a
+// budget of one descriptor, pass 1 stops before it reaches most rings,
+// so the trim is the first to open the forged ring. It must skip that
+// ring like a visit does and still trim every honest ring after it,
+// whichever guest the rotating cursor starts from.
+func TestDrainRingsTrimSkipsForgedRing(t *testing.T) {
+	f := newFixture(t)
+	f.mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.25})
+	if _, err := f.mgr.CreateObject("obj", 4096); err != nil {
+		t.Fatal(err)
+	}
+	var rings []*RingCaller
+	for _, name := range []string{"hostile", "honest1", "honest2"} {
+		vm, g := f.newGuest(t, name)
+		h, err := g.Attach("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := h.Ring(vm.VCPU(), RingConfig{Depth: 4, Deadline: farDeadline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rings = append(rings, rc)
+	}
+	hostile := rings[0]
+	if err := hostile.h.g.vm.VCPU().WriteU64GPA(hostile.GPA()+16, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		for _, rc := range rings[1:] {
+			for i := 0; i < 3; i++ {
+				if err := rc.Submit(rc.h.g.vm.VCPU(), fnNop); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := f.mgr.DrainRings(1); !errors.Is(err, shm.ErrCorruptRing) {
+			t.Fatalf("pass %d: DrainRings err = %v, want ErrCorruptRing", pass, err)
+		}
+		for _, st := range f.mgr.RingStats() {
+			if st.Guest != "hostile" && st.Queued > 1 {
+				t.Fatalf("pass %d: %s left %d queued, want the trim down to 1", pass, st.Guest, st.Queued)
+			}
+		}
+		for _, rc := range rings[1:] {
+			var comps [4]shm.Comp
+			if _, err := rc.Poll(rc.h.g.vm.VCPU(), comps[:]); err != nil {
+				t.Fatal(err)
+			}
+			// Drop what the trim left queued, so every pass starts empty.
+			if _, err := f.mgr.DrainRings(0); !errors.Is(err, shm.ErrCorruptRing) {
+				t.Fatal(err)
+			}
+			if _, err := rc.Poll(rc.h.g.vm.VCPU(), comps[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -126,6 +126,27 @@ func (r *HostRegion) WriteU64(clk *simtime.Clock, off int, v uint64) error {
 	return r.hv.pm.WriteU64(r.frames[off/mem.PageSize].Page()+mem.HPA(off%mem.PageSize), v)
 }
 
+// Dirty reports whether the region's page has been written since its last
+// TakeDirty (see mem.PhysMem). It reads one bit and charges nothing: it
+// is the host's own bookkeeping, not an access to the page. A freed
+// region or an out-of-range page reports true.
+func (r *HostRegion) Dirty(page int) bool {
+	if r.freed || page < 0 || page >= len(r.frames) {
+		return true
+	}
+	return r.hv.pm.Dirty(r.frames[page])
+}
+
+// TakeDirty clears the page's dirty bit and reports whether it was set;
+// call it before reading the page. Each page has at most one observer
+// (see mem.PhysMem). A freed region or an out-of-range page reports true.
+func (r *HostRegion) TakeDirty(page int) bool {
+	if r.freed || page < 0 || page >= len(r.frames) {
+		return true
+	}
+	return r.hv.pm.TakeDirty(r.frames[page])
+}
+
 // MapIntoDefault maps the whole region into a VM's *default* EPT context —
 // the direct-mapping (ivshmem) scheme. The returned GPA is where the guest
 // sees it. This is deliberately the isolation-violating scheme: whoever

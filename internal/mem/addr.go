@@ -6,6 +6,11 @@
 // memory; guests reach it only through EPT translations (package ept) via
 // vCPU accessors (package cpu), which is what makes the isolation tests
 // meaningful: a mapping that does not exist is a byte that cannot be read.
+//
+// PhysMem also keeps one dirty bit per frame, set by every write after its
+// bytes land and cleared by TakeDirty. Host code that polls guest-writable
+// memory uses it to learn, with one atomic load, that nobody has written a
+// frame since its last look (see PhysMem for the one-observer contract).
 package mem
 
 import "fmt"

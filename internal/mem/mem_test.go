@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -286,5 +287,190 @@ func TestAllocFramesContiguous(t *testing.T) {
 		if f == lone {
 			t.Fatal("contiguous run overlaps an allocated frame")
 		}
+	}
+}
+
+// takeAll clears every frame's dirty bit and returns the frames that
+// had one, in ascending order.
+func takeAll(pm *PhysMem) []HFN {
+	var out []HFN
+	for f := 0; f < pm.Frames(); f++ {
+		if pm.TakeDirty(HFN(f)) {
+			out = append(out, HFN(f))
+		}
+	}
+	return out
+}
+
+// TestDirtyBitmapMarksExactlyTouchedFrames: each writer marks the frames
+// its bytes land in and nothing else; reads, failed writes and empty
+// writes mark nothing.
+func TestDirtyBitmapMarksExactlyTouchedFrames(t *testing.T) {
+	pm := MustNewPhysMem(8 * PageSize)
+	takeAll(pm)
+	page := func(f int) HPA { return HFN(f).Page() }
+	cases := []struct {
+		name  string
+		write func() error
+		want  []HFN
+	}{
+		{"Write", func() error { return pm.Write(page(2)+100, []byte{1, 2, 3}) }, []HFN{2}},
+		{"Write across a page boundary", func() error { return pm.Write(page(4)-2, []byte{1, 2, 3, 4}) }, []HFN{3, 4}},
+		{"Write spanning three frames", func() error { return pm.Write(page(1)+PageSize-1, make([]byte, PageSize+2)) }, []HFN{1, 2, 3}},
+		{"empty Write", func() error { return pm.Write(page(5), nil) }, nil},
+		{"WriteU64 aligned", func() error { return pm.WriteU64(page(6)+8, 7) }, []HFN{6}},
+		{"WriteU64 unaligned across a boundary", func() error { return pm.WriteU64(page(6)-4, 7) }, []HFN{5, 6}},
+		{"WriteU32", func() error { return pm.WriteU32(page(7)+4, 7) }, []HFN{7}},
+		{"Zero", func() error { return pm.Zero(page(1)+PageSize-8, 16) }, []HFN{1, 2}},
+		{"empty Zero", func() error { return pm.Zero(page(3), 0) }, nil},
+		{"AllocFrame", func() error { _, err := pm.AllocFrame(); return err }, []HFN{1}},
+		{"AllocFrames", func() error { _, err := pm.AllocFrames(2); return err }, []HFN{2, 3}},
+		{"AllocFramesContiguous", func() error { _, err := pm.AllocFramesContiguous(2, 2); return err }, []HFN{4, 5}},
+	}
+	for _, c := range cases {
+		if err := c.write(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := takeAll(pm); !equalFrames(got, c.want) {
+			t.Errorf("%s marked %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// Reads, frees and rejected writes leave the bitmap untouched.
+	end := HPA(pm.Size())
+	buf := make([]byte, 16)
+	_ = pm.Read(page(1), buf)
+	_, _ = pm.ReadU64(page(2))
+	_, _ = pm.ReadU32(page(3))
+	_ = pm.FreeFrame(5)
+	if pm.Write(end-1, []byte{1, 2}) == nil || pm.WriteU64(end-4, 1) == nil ||
+		pm.WriteU32(end-2, 1) == nil || pm.Zero(end-1, 2) == nil || pm.Zero(0, -1) == nil {
+		t.Fatal("out-of-range write accepted")
+	}
+	if got := takeAll(pm); got != nil {
+		t.Errorf("reads and failed writes marked %v", got)
+	}
+}
+
+func equalFrames(a, b []HFN) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTakeDirtyClearsAndReports: TakeDirty reports the bit and clears
+// it, Dirty only reports, and frames outside memory read dirty.
+func TestTakeDirtyClearsAndReports(t *testing.T) {
+	pm := MustNewPhysMem(4 * PageSize)
+	if pm.Dirty(1) {
+		t.Fatal("a never-allocated frame should start clean")
+	}
+	if _, err := pm.AllocFrames(2); err != nil {
+		t.Fatal(err)
+	}
+	if !pm.Dirty(1) {
+		t.Fatal("a frame nobody has taken should read dirty from its allocation on")
+	}
+	if !pm.TakeDirty(1) || pm.TakeDirty(1) || pm.Dirty(1) {
+		t.Fatal("TakeDirty did not clear the bit it reported")
+	}
+	if err := pm.WriteU64(HFN(1).Page(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if !pm.Dirty(1) || !pm.Dirty(1) {
+		t.Fatal("Dirty missed a write or cleared the bit")
+	}
+	if !pm.Dirty(2) || !pm.TakeDirty(2) || pm.Dirty(2) {
+		t.Fatal("neighbouring frame's bit is not independent")
+	}
+	if !pm.TakeDirty(1) || pm.Dirty(1) {
+		t.Fatal("TakeDirty after a write")
+	}
+	if !pm.Dirty(HFN(pm.Frames())) || !pm.TakeDirty(HFN(pm.Frames())) {
+		t.Fatal("an out-of-range frame must read dirty")
+	}
+}
+
+// TestDirtyBitmapNoLostWrite runs writers on frames that share one bitmap
+// word against an observer that takes their bits: whenever a writer's
+// store is newer than what the observer last read, the observer's next
+// TakeDirty must report it. Run under -race it also proves the bitmap
+// and the stores are properly synchronised.
+func TestDirtyBitmapNoLostWrite(t *testing.T) {
+	const writers, writes = 4, 2000
+	pm := MustNewPhysMem(8 * PageSize)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var seen [writers]uint64 // the observer's latest read of each writer's counter
+	var observeErr error
+	observer := make(chan struct{})
+	go func() {
+		defer close(observer)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for w := 0; w < writers; w++ {
+				f := HFN(1 + w)
+				if !pm.TakeDirty(f) {
+					continue
+				}
+				v, err := pm.ReadU64(f.Page())
+				if err != nil {
+					observeErr = err
+					return
+				}
+				seen[w] = v
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := uint64(1); i <= writes; i++ {
+				if err := pm.WriteU64(HFN(1+w).Page(), i); err != nil {
+					panic(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-observer
+	if observeErr != nil {
+		t.Fatal(observeErr)
+	}
+	// Every writer finished; one more observation must catch any final
+	// store the racing loop missed, because its bit is still set.
+	for w := 0; w < writers; w++ {
+		f := HFN(1 + w)
+		if seen[w] != writes && !pm.TakeDirty(f) {
+			t.Fatalf("writer %d: observer stopped at %d of %d with the bit clear: a write was lost", w, seen[w], writes)
+		}
+		if pm.Dirty(f) {
+			t.Fatalf("writer %d: bit still set after the final take", w)
+		}
+	}
+}
+
+// TestZeroAllocDirtyBitmap pins the bitmap's cost on the hot paths: a
+// word write and a take allocate nothing.
+func TestZeroAllocDirtyBitmap(t *testing.T) {
+	pm := MustNewPhysMem(4 * PageSize)
+	addr := HFN(1).Page()
+	if n := testing.AllocsPerRun(100, func() { _ = pm.WriteU64(addr, 1) }); n != 0 {
+		t.Errorf("WriteU64: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = pm.WriteU64(addr, 1); pm.TakeDirty(1) }); n != 0 {
+		t.Errorf("WriteU64+TakeDirty: %v allocs/op, want 0", n)
 	}
 }

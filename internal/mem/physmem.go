@@ -15,11 +15,21 @@ import (
 // access is a bug in the caller (the hypervisor or a device model), not a
 // guest-visible fault, so it returns an error rather than a simulated
 // machine check.
+//
+// Every writer also marks the frames it touched in a dirty bitmap, one
+// bit per frame (2 KiB for a 64 MiB machine), set after the bytes have
+// landed. A host-side observer that wants to know whether anyone wrote a
+// frame since it last looked clears the bit with TakeDirty *before*
+// reading the frame: any write that its read misses then sets the bit
+// again, so the next TakeDirty or Dirty reports it. Clearing is
+// destructive, so each frame has at most one observer; today that is the
+// manager poller, on the header frame of every call ring.
 type PhysMem struct {
 	data   []byte
 	frames int
 	free   []HFN // LIFO free list
 	inUse  map[HFN]bool
+	dirty  []uint64 // bit f%64 of word f/64: frame f written since its last TakeDirty
 }
 
 // NewPhysMem creates a physical memory of the given size, which must be a
@@ -37,6 +47,7 @@ func NewPhysMem(size int) (*PhysMem, error) {
 		frames: frames,
 		free:   make([]HFN, 0, frames-1),
 		inUse:  map[HFN]bool{0: true},
+		dirty:  make([]uint64, (frames+63)/64),
 	}
 	// Frame 0 is permanently reserved (like firmware-reserved low memory)
 	// so that physical address 0 is never a valid EPT root or EPTP-list
@@ -80,6 +91,7 @@ func (pm *PhysMem) AllocFrame() (HFN, error) {
 	// must for isolation.
 	base := int(f) * PageSize
 	clear(pm.data[base : base+PageSize])
+	pm.markFrame(f)
 	return f, nil
 }
 
@@ -151,6 +163,7 @@ func (pm *PhysMem) Write(addr HPA, p []byte) error {
 		return err
 	}
 	copy(pm.data[addr:], p)
+	pm.mark(addr, len(p))
 	return nil
 }
 
@@ -177,9 +190,10 @@ func (pm *PhysMem) WriteU64(addr HPA, v uint64) error {
 	}
 	if addr%8 == 0 {
 		atomic.StoreUint64((*uint64)(unsafe.Pointer(&pm.data[addr])), v)
-		return nil
+	} else {
+		binary.LittleEndian.PutUint64(pm.data[addr:], v)
 	}
-	binary.LittleEndian.PutUint64(pm.data[addr:], v)
+	pm.mark(addr, 8)
 	return nil
 }
 
@@ -197,6 +211,7 @@ func (pm *PhysMem) WriteU32(addr HPA, v uint32) error {
 		return err
 	}
 	binary.LittleEndian.PutUint32(pm.data[addr:], v)
+	pm.mark(addr, 4)
 	return nil
 }
 
@@ -206,6 +221,7 @@ func (pm *PhysMem) Zero(addr HPA, n int) error {
 		return err
 	}
 	clear(pm.data[addr : uint64(addr)+uint64(n)])
+	pm.mark(addr, n)
 	return nil
 }
 
@@ -253,7 +269,75 @@ func (pm *PhysMem) AllocFramesContiguous(n, align int) ([]HFN, error) {
 		pm.free = kept
 		start := base * PageSize
 		clear(pm.data[start : start+n*PageSize])
+		for _, f := range out {
+			pm.markFrame(f)
+		}
 		return out, nil
 	}
 	return nil, fmt.Errorf("mem: no contiguous run of %d frames aligned to %d", n, align)
+}
+
+// mark sets the dirty bit of every frame [addr, addr+n) touches; n == 0
+// touches none. Callers have bounds-checked the range and stored the
+// bytes first (see PhysMem).
+func (pm *PhysMem) mark(addr HPA, n int) {
+	if n == 0 {
+		return
+	}
+	for f, last := addr.Frame(), (addr + HPA(n) - 1).Frame(); f <= last; f++ {
+		pm.markFrame(f)
+	}
+}
+
+// markFrame sets frame f's dirty bit. The common case — the bit is
+// already set because nobody has taken it since the last write — is one
+// atomic load; setBit does the rest.
+func (pm *PhysMem) markFrame(f HFN) {
+	w, bit := &pm.dirty[f/64], uint64(1)<<(f%64)
+	if atomic.LoadUint64(w)&bit == 0 {
+		setBit(w, bit)
+	}
+}
+
+// setBit ORs bit into *w. The module targets go1.22, which has no
+// atomic.OrUint64, so this is a CAS loop.
+func setBit(w *uint64, bit uint64) {
+	for {
+		old := atomic.LoadUint64(w)
+		if old&bit != 0 || atomic.CompareAndSwapUint64(w, old, old|bit) {
+			return
+		}
+	}
+}
+
+// Dirty reports whether frame f has been written since its last
+// TakeDirty (a frame nobody has taken yet reads dirty from its
+// allocation on). Out-of-range frames report true: "might have changed"
+// is the only safe answer about memory the bitmap does not cover.
+func (pm *PhysMem) Dirty(f HFN) bool {
+	if int(f) >= pm.frames {
+		return true
+	}
+	return atomic.LoadUint64(&pm.dirty[f/64])&(uint64(1)<<(f%64)) != 0
+}
+
+// TakeDirty clears frame f's dirty bit and reports whether it was set.
+// Call it before reading the frame: a write racing the read either lands
+// before the clear (and the read sees it) or sets the bit again. Taking
+// is destructive, so a frame has at most one observer (see PhysMem).
+// Out-of-range frames report true and change nothing.
+func (pm *PhysMem) TakeDirty(f HFN) bool {
+	if int(f) >= pm.frames {
+		return true
+	}
+	w, bit := &pm.dirty[f/64], uint64(1)<<(f%64)
+	for {
+		old := atomic.LoadUint64(w)
+		if old&bit == 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(w, old, old&^bit) {
+			return true
+		}
+	}
 }

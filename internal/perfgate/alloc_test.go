@@ -112,7 +112,7 @@ func TestZeroAllocLaneRingDrain(t *testing.T) {
 	}
 
 	// Many idle rings, one busy: 6 guests x 8 rings, where every pass
-	// visits 47 empty rings in pass 1 and elides them in pass 2.
+	// charges the 47 empty rings' idle memos instead of re-reading them.
 	for i := 0; i < 7; i++ {
 		if _, err := f.mgr.CreateObject(fmt.Sprintf("idle%d", i), mem.PageSize); err != nil {
 			t.Fatal(err)

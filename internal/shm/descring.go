@@ -2,6 +2,7 @@ package shm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -389,9 +390,20 @@ type DrainTxn struct {
 	pushed int
 }
 
+// ErrCorruptRing reports a cursor snapshot no honest producer could have
+// left: a submission or completion queue holding more than the ring's
+// slots. The header lives in guest-writable memory, so a guest can forge
+// any cursor; the drain side must refuse such a snapshot rather than
+// trust the unchecked difference (a forged tail would otherwise make it
+// service millions of garbage descriptors).
+var ErrCorruptRing = errors.New("shm: call ring cursors out of geometry")
+
 // BeginDrain opens a consumer batch session, snapshotting the ring
 // cursors. The caller must hold whatever lock serialises consumers of
-// this ring and must Close the transaction to publish its progress.
+// this ring and must Close the transaction to publish its progress. A
+// snapshot in which either queue holds more than the ring's slots
+// returns an error wrapping ErrCorruptRing, so a transaction never pops
+// or pushes more than slots records.
 //
 // The returned transaction is this instance's reusable scratch: the
 // next BeginDrain on the same CallRing recycles it, so at most one
@@ -415,6 +427,10 @@ func (r *CallRing) BeginDrain() (*DrainTxn, error) {
 	}
 	if t.cqTail, err = r.w.ReadU64(offCQTail); err != nil {
 		return nil, err
+	}
+	if slots := uint64(r.slots); t.sqTail-t.sqHead > slots || t.cqTail-t.cqHead > slots {
+		return nil, fmt.Errorf("%w: sq [%d, %d) cq [%d, %d) with %d slots",
+			ErrCorruptRing, t.sqHead, t.sqTail, t.cqHead, t.cqTail, slots)
 	}
 	return t, nil
 }
