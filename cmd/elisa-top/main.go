@@ -117,13 +117,13 @@ func (tn *tenant) pollRings(v *elisa.VCPU) {
 	}
 }
 
-func run(nGuests, nObjects, slotBudget, frames, intervalMs, sample int, skew, readRatio float64, errEvery,
-	ringDepth, ringDeadlineUs, pollBudget int, overload bool, nFaults int, faultSeed int64, ansi, prom, jsonOut bool, nSpans int) error {
-	if nGuests <= 0 {
-		return fmt.Errorf("need at least one guest")
-	}
-	if nObjects <= 0 {
-		return fmt.Errorf("need at least one object per tenant")
+// buildSingle boots the single-shard system and its tenants: nObjects
+// objects, every tenant attached to all of them, plus one call ring per
+// attachment when ringDepth > 0.
+func buildSingle(nGuests, nObjects, slotBudget, sample int, skew, readRatio float64,
+	ringDepth, ringDeadlineUs int, overload bool) (*elisa.System, []*tenant, error) {
+	if nGuests <= 0 || nObjects <= 0 {
+		return nil, nil, fmt.Errorf("need at least one guest and one object")
 	}
 	sys, err := elisa.NewSystem(elisa.Config{
 		PhysBytes:   256*1024*1024 + nGuests*nObjects*64*1024,
@@ -132,7 +132,7 @@ func run(nGuests, nObjects, slotBudget, frames, intervalMs, sample int, skew, re
 		Observe:     &elisa.ObserveConfig{SampleEvery: sample},
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	mgr := sys.Manager()
 	if overload {
@@ -145,19 +145,19 @@ func run(nGuests, nObjects, slotBudget, frames, intervalMs, sample int, skew, re
 			objNames[i] = fmt.Sprintf("%s-%02d", objName, i)
 		}
 		if _, err := mgr.CreateObject(objNames[i], objPages*elisa.PageSize); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 	// GET: object -> exchange at the keyed offset; PUT: exchange -> object.
 	if err := mgr.RegisterFunc(fnGet, func(c *elisa.CallContext) (uint64, error) {
 		return uint64(valBytes), c.CopyObjectToExchange(0, int(c.Args[0]), valBytes)
 	}); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if err := mgr.RegisterFunc(fnPut, func(c *elisa.CallContext) (uint64, error) {
 		return uint64(valBytes), c.CopyExchangeToObject(int(c.Args[0]), 0, valBytes)
 	}); err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	nKeys := objPages*elisa.PageSize/valBytes - 1
@@ -165,14 +165,14 @@ func run(nGuests, nObjects, slotBudget, frames, intervalMs, sample int, skew, re
 	for i := range tenants {
 		g, err := sys.NewGuestVM(fmt.Sprintf("tenant-%d", i), 16*elisa.PageSize)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		hs := make([]*elisa.Handle, len(objNames))
 		var rings []*elisa.RingCaller
 		for j, name := range objNames {
 			h, err := g.Attach(name)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			hs[j] = h
 			if ringDepth > 0 {
@@ -187,21 +187,89 @@ func run(nGuests, nObjects, slotBudget, frames, intervalMs, sample int, skew, re
 				}
 				rc, err := h.Ring(g.VCPU(), cfg)
 				if err != nil {
-					return err
+					return nil, nil, err
 				}
 				rings = append(rings, rc)
 			}
 		}
 		keys, err := workload.NewZipf(int64(1000+i), nKeys, skew)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		mix, err := workload.NewMix(int64(2000+i), readRatio)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		tenants[i] = &tenant{g: g, hs: hs, rings: rings, keys: keys, mix: mix}
 	}
+	return sys, tenants, nil
+}
+
+// driveFrame advances every live tenant by one simulated interval of its
+// own clock, settles its rings, and then runs one budget-bounded manager
+// poller pass, as the fleet scheduler interleaves one with its quanta. A
+// fnBogus call errors by design; any other error is fatal unless chaos is
+// armed, where injected failures (and guest deaths) are the point.
+func driveFrame(mgr *elisa.Manager, tenants []*tenant, interval simtime.Duration,
+	errEvery, ringDepth, pollBudget int, chaos bool) error {
+	for _, tn := range tenants {
+		if tn.g.Dead() {
+			continue // crashed in an earlier frame; quarantined by the caller
+		}
+		v := tn.g.VCPU()
+		tn.start = v.Clock().Now()
+		for !tn.g.Dead() && v.Clock().Elapsed(tn.start) < interval {
+			off := tn.keys.Next() * valBytes
+			fn := uint64(fnPut)
+			if tn.mix.Read() {
+				fn = fnGet
+			}
+			tn.ops++
+			if errEvery > 0 && tn.ops%errEvery == 0 {
+				fn = fnBogus
+			}
+			if tn.rings != nil {
+				// Ring datapath: enqueue exit-lessly; a failing function
+				// comes back as a CompErr completion, so only protocol
+				// errors surface here. Poll before the completion queue
+				// can fill, or flushes stall on backpressure.
+				if tn.rings[tn.rr].Pending() >= ringDepth {
+					tn.pollRings(v)
+				}
+				if err := tn.rings[tn.rr].Submit(v, fn, uint64(off)); err != nil && !chaos {
+					return fmt.Errorf("%s: submit: %w", tn.g.Name(), err)
+				}
+			} else if _, err := tn.hs[tn.rr].Call(v, fn, uint64(off)); err != nil && fn != fnBogus && !chaos {
+				return fmt.Errorf("%s: call: %w", tn.g.Name(), err)
+			}
+			tn.rr = (tn.rr + 1) % len(tn.hs)
+		}
+		if tn.rings != nil && !tn.g.Dead() {
+			// Frame epilogue: flush the batching backlog and collect
+			// completions so the frame's counters are settled.
+			for _, rc := range tn.rings {
+				if err := rc.Flush(v); err != nil && !chaos {
+					return fmt.Errorf("%s: flush: %w", tn.g.Name(), err)
+				}
+			}
+			tn.pollRings(v)
+		}
+	}
+	if ringDepth > 0 && pollBudget > 0 {
+		if _, err := mgr.DrainRings(pollBudget); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func run(nGuests, nObjects, slotBudget, frames, intervalMs, sample int, skew, readRatio float64, errEvery,
+	ringDepth, ringDeadlineUs, pollBudget int, overload bool, nFaults int, faultSeed int64, ansi, prom, jsonOut bool, nSpans int) error {
+	sys, tenants, err := buildSingle(nGuests, nObjects, slotBudget, sample, skew, readRatio, ringDepth, ringDeadlineUs, overload)
+	if err != nil {
+		return err
+	}
+	mgr := sys.Manager()
 
 	// Chaos: arm a seeded fault plan across the tenants. Injected faults
 	// hit the gate, negotiation, and EPTP-list paths; between frames the
@@ -236,65 +304,8 @@ func run(nGuests, nObjects, slotBudget, frames, intervalMs, sample int, skew, re
 	prevRetried := make(map[string]uint64)
 
 	for frame := 1; frame <= frames; frame++ {
-		for _, tn := range tenants {
-			if tn.g.Dead() {
-				continue // crashed in an earlier frame; quarantined below
-			}
-			v := tn.g.VCPU()
-			tn.start = v.Clock().Now()
-			for !tn.g.Dead() && v.Clock().Elapsed(tn.start) < interval {
-				off := tn.keys.Next() * valBytes
-				fn := uint64(fnPut)
-				if tn.mix.Read() {
-					fn = fnGet
-				}
-				tn.ops++
-				if errEvery > 0 && tn.ops%errEvery == 0 {
-					fn = fnBogus
-				}
-				var err error
-				if tn.rings != nil {
-					// Ring datapath: enqueue exit-lessly; a failing
-					// function comes back as a CompErr completion, so
-					// only protocol errors surface here. Poll before the
-					// completion queue can fill, or flushes stall on
-					// backpressure.
-					if tn.rings[tn.rr].Pending() >= ringDepth {
-						tn.pollRings(v)
-					}
-					err = tn.rings[tn.rr].Submit(v, fn, uint64(off))
-				} else {
-					_, err = tn.hs[tn.rr].Call(v, fn, uint64(off))
-					if err != nil && fn == fnBogus {
-						err = nil // the deliberate error-rate probe
-					}
-				}
-				tn.rr = (tn.rr + 1) % len(tn.hs)
-				if err != nil {
-					if inj == nil {
-						return fmt.Errorf("%s: call: %w", tn.g.Name(), err)
-					}
-					// Chaos armed: injected failures (and the death of
-					// this guest) are the point, not a tool error.
-				}
-			}
-			if tn.rings != nil && !tn.g.Dead() {
-				// Frame epilogue: flush the batching backlog and collect
-				// completions so the frame's counters are settled.
-				for _, rc := range tn.rings {
-					if err := rc.Flush(v); err != nil && inj == nil {
-						return fmt.Errorf("%s: flush: %w", tn.g.Name(), err)
-					}
-				}
-				tn.pollRings(v)
-			}
-		}
-		if ringDepth > 0 && pollBudget > 0 {
-			// One budget-bounded manager poller pass per frame, like the
-			// fleet scheduler interleaves with its quanta.
-			if _, err := mgr.DrainRings(pollBudget); err != nil {
-				return err
-			}
+		if err := driveFrame(mgr, tenants, interval, errEvery, ringDepth, pollBudget, inj != nil); err != nil {
+			return err
 		}
 		if inj != nil {
 			// Pump asynchronous faults up to the furthest guest clock,

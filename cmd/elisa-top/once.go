@@ -7,7 +7,6 @@ import (
 
 	elisa "github.com/elisa-go/elisa"
 	"github.com/elisa-go/elisa/internal/simtime"
-	"github.com/elisa-go/elisa/internal/workload"
 )
 
 // snapshotSchema versions the -once -json output so scrapers can reject
@@ -62,121 +61,13 @@ func runOnce(w io.Writer, nGuests, nObjects, slotBudget, intervalMs, sample int,
 		}
 		return runOnceShards(w, nGuests, nObjects, shards, slotBudget, intervalMs, sample, skew, readRatio, errEvery)
 	}
-	sys, err := elisa.NewSystem(elisa.Config{
-		PhysBytes:  256*1024*1024 + nGuests*nObjects*64*1024,
-		SlotBudget: slotBudget,
-		Observe:    &elisa.ObserveConfig{SampleEvery: sample},
-	})
+	sys, tenants, err := buildSingle(nGuests, nObjects, slotBudget, sample, skew, readRatio, ringDepth, ringDeadlineUs, overload)
 	if err != nil {
 		return err
 	}
-	mgr := sys.Manager()
-	if overload {
-		mgr.SetOverload(elisa.OverloadConfig{Enabled: true})
-	}
-	objNames := make([]string, nObjects)
-	for i := range objNames {
-		objNames[i] = objName
-		if nObjects > 1 {
-			objNames[i] = fmt.Sprintf("%s-%02d", objName, i)
-		}
-		if _, err := mgr.CreateObject(objNames[i], objPages*elisa.PageSize); err != nil {
-			return err
-		}
-	}
-	if err := mgr.RegisterFunc(fnGet, func(c *elisa.CallContext) (uint64, error) {
-		return uint64(valBytes), c.CopyObjectToExchange(0, int(c.Args[0]), valBytes)
-	}); err != nil {
-		return err
-	}
-	if err := mgr.RegisterFunc(fnPut, func(c *elisa.CallContext) (uint64, error) {
-		return uint64(valBytes), c.CopyExchangeToObject(int(c.Args[0]), 0, valBytes)
-	}); err != nil {
-		return err
-	}
-
-	nKeys := objPages*elisa.PageSize/valBytes - 1
-	tenants := make([]*tenant, nGuests)
-	for i := range tenants {
-		g, err := sys.NewGuestVM(fmt.Sprintf("tenant-%d", i), 16*elisa.PageSize)
-		if err != nil {
-			return err
-		}
-		hs := make([]*elisa.Handle, len(objNames))
-		var rings []*elisa.RingCaller
-		for j, name := range objNames {
-			h, err := g.Attach(name)
-			if err != nil {
-				return err
-			}
-			hs[j] = h
-			if ringDepth > 0 {
-				cfg := elisa.RingConfig{
-					Depth:    ringDepth,
-					Deadline: simtime.Duration(ringDeadlineUs) * simtime.Microsecond,
-				}
-				if overload {
-					cfg.Retry = elisa.RetryPolicy{MaxAttempts: 3, Seed: int64(7 + i)}
-				}
-				rc, err := h.Ring(g.VCPU(), cfg)
-				if err != nil {
-					return err
-				}
-				rings = append(rings, rc)
-			}
-		}
-		keys, err := workload.NewZipf(int64(1000+i), nKeys, skew)
-		if err != nil {
-			return err
-		}
-		mix, err := workload.NewMix(int64(2000+i), readRatio)
-		if err != nil {
-			return err
-		}
-		tenants[i] = &tenant{g: g, hs: hs, rings: rings, keys: keys, mix: mix}
-	}
-
 	interval := simtime.Duration(intervalMs) * simtime.Millisecond
-	for _, tn := range tenants {
-		v := tn.g.VCPU()
-		tn.start = v.Clock().Now()
-		for v.Clock().Elapsed(tn.start) < interval {
-			off := tn.keys.Next() * valBytes
-			fn := uint64(fnPut)
-			if tn.mix.Read() {
-				fn = fnGet
-			}
-			tn.ops++
-			if errEvery > 0 && tn.ops%errEvery == 0 {
-				fn = fnBogus
-			}
-			if tn.rings != nil {
-				if tn.rings[tn.rr].Pending() >= ringDepth {
-					tn.pollRings(v)
-				}
-				if err := tn.rings[tn.rr].Submit(v, fn, uint64(off)); err != nil {
-					return fmt.Errorf("%s: submit: %w", tn.g.Name(), err)
-				}
-			} else {
-				if _, err := tn.hs[tn.rr].Call(v, fn, uint64(off)); err != nil && fn != fnBogus {
-					return fmt.Errorf("%s: call: %w", tn.g.Name(), err)
-				}
-			}
-			tn.rr = (tn.rr + 1) % len(tn.hs)
-		}
-		if tn.rings != nil {
-			for _, rc := range tn.rings {
-				if err := rc.Flush(v); err != nil {
-					return fmt.Errorf("%s: flush: %w", tn.g.Name(), err)
-				}
-			}
-			tn.pollRings(v)
-		}
-	}
-	if ringDepth > 0 && pollBudget > 0 {
-		if _, err := mgr.DrainRings(pollBudget); err != nil {
-			return err
-		}
+	if err := driveFrame(sys.Manager(), tenants, interval, errEvery, ringDepth, pollBudget, false); err != nil {
+		return err
 	}
 
 	snap := buildSnapshot(sys, tenants, interval, ringDepth, overload)

@@ -47,11 +47,13 @@ type FleetConfig struct {
 	// token bucket per tenant, consulted before every per-shard gate.
 	// The bucket follows the tenant across migrations — it is keyed by
 	// name, not placement — so a tenant cannot mint fresh admission
-	// capacity by moving. Tenants absent from the map are uncapped.
+	// capacity by moving. Tenants absent from the map are uncapped. Each
+	// bucket's burst is globalAdmitBurst.
 	GlobalAdmitOPS map[string]float64
-	// GlobalAdmitBurst is the global buckets' burst (default 16).
-	GlobalAdmitBurst int
 }
+
+// globalAdmitBurst is the burst of every cluster-wide admission bucket.
+const globalAdmitBurst = 16
 
 // Fleet schedules tenants across a cluster: one fleet.Scheduler per
 // shard (created lazily at first admission), with Run interleaving
@@ -114,14 +116,10 @@ func (c *Cluster) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		objUse:        make(map[string]int),
 	}
 	if len(cfg.GlobalAdmitOPS) > 0 {
-		burst := cfg.GlobalAdmitBurst
-		if burst <= 0 {
-			burst = 16
-		}
 		f.global = make(map[string]*overload.TokenBucket, len(cfg.GlobalAdmitOPS))
 		for name, rate := range cfg.GlobalAdmitOPS {
 			if rate > 0 {
-				f.global[name] = overload.NewTokenBucket(rate, burst)
+				f.global[name] = overload.NewTokenBucket(rate, globalAdmitBurst)
 			}
 		}
 		// Installed into the per-shard fleet.Config before any scheduler

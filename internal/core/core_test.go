@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/cpu"
@@ -604,6 +607,47 @@ func TestManagerStatsAccounting(t *testing.T) {
 	}
 	if names := f.mgr.ObjectNames(); len(names) != 1 || names[0] != "obj" {
 		t.Fatalf("object names: %v", names)
+	}
+}
+
+// TestDescribeGuestListsAttachmentsInVslotOrder checks the inspection
+// summary lists attachments in vslot order, every time: two identical
+// runs must print identical text.
+func TestDescribeGuestListsAttachmentsInVslotOrder(t *testing.T) {
+	f := newFixture(t)
+	vm, g := f.newGuest(t, "g")
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("object-%d", i)
+		if _, err := f.mgr.CreateObject(name, mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Attach(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rep := 0; rep < 10; rep++ {
+		desc, err := f.mgr.DescribeGuest(vm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vslots []int
+		for _, line := range strings.Split(desc, "\n") {
+			if fs := strings.Fields(line); len(fs) > 2 && fs[1] == "vslot" {
+				n, err := strconv.Atoi(fs[2])
+				if err != nil {
+					t.Fatalf("bad vslot in %q: %v", line, err)
+				}
+				vslots = append(vslots, n)
+			}
+		}
+		if len(vslots) != 8 {
+			t.Fatalf("listed %d attachments, want 8:\n%s", len(vslots), desc)
+		}
+		for i := 1; i < len(vslots); i++ {
+			if vslots[i] <= vslots[i-1] {
+				t.Fatalf("vslots out of order %v:\n%s", vslots, desc)
+			}
+		}
 	}
 }
 

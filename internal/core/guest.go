@@ -51,8 +51,8 @@ func NewGuest(vm *hv.VM, mgr *Manager) (*Guest, error) {
 func (g *Guest) VM() *hv.VM { return g.vm }
 
 // Guard errors of the fast path. They are preallocated: the checks run on
-// every Call/CallMulti, and an error value built per refusal would be the
-// only allocation on an otherwise zero-alloc path.
+// every Call/CallMulti and ring operation, and an error value built per
+// refusal would be the only allocation on an otherwise zero-alloc path.
 var (
 	ErrForeignVCPU = errors.New("core: call on foreign vCPU")
 	ErrTooManyArgs = errors.New("core: call takes at most 4 args")
@@ -308,19 +308,54 @@ func (h *Handle) CallArgs(v *cpu.VCPU, fnID uint64, args [4]uint64) (uint64, err
 	if v != h.g.vm.VCPU() {
 		return 0, ErrForeignVCPU
 	}
-	cost := v.Cost()
-	mgr := h.g.mgr
+	c, err := h.enter(v, fnID, 1)
+	if err != nil {
+		return 0, err
+	}
 
-	// Flight recorder: phase boundaries are read from the vCPU clock but
-	// never charged to it, so observation cannot perturb the latency it
-	// measures. rec == nil (observability off) costs one comparison.
-	rec := mgr.rec
-	var t0, tGate, tSub, tFn simtime.Time
-	var exchp *simtime.Duration
-	if rec != nil {
-		t0 = v.Clock().Now()
+	// --- in the sub context: run the manager function ---
+	ret, fnErr := h.g.mgr.invoke(v, h, fnID, args, c.exch)
+	if v.Dead() {
+		// The function faulted and the hypervisor killed the VM; there
+		// is no context to return to.
+		return 0, fnErr
+	}
+	if err := h.leave(v, &c, fnID, 1, fnErr != nil); err != nil {
+		return 0, err
+	}
+	if fnErr != nil {
+		return ret, fnErr
+	}
+	v.Regs[cpu.RAX] = ret
+	return ret, nil
+}
+
+// crossing is one gate round trip in flight between enter and leave: the
+// flight-recorder phase boundaries of the inbound half, returned by value
+// so the crossing costs no heap object. rec == nil (observability off)
+// leaves the stamps zero and exch nil.
+type crossing struct {
+	rec             *obs.Recorder
+	t0, tGate, tSub simtime.Time
+	exch            *simtime.Duration
+}
+
+// enter is the inbound half of every gate crossing — Call, CallMulti and
+// RingCaller.Flush all take this one path: the slot-table lookup, then
+// default -> gate, the gate's grant check, gate -> sub. spanFn and batch
+// label the refusal span; on success the vCPU is in the sub context and
+// the caller runs its body, then calls leave.
+//
+// Flight recorder: phase boundaries are read from the vCPU clock but
+// never charged to it, so observation cannot perturb the latency it
+// measures.
+func (h *Handle) enter(v *cpu.VCPU, spanFn uint64, batch int) (crossing, error) {
+	mgr := h.g.mgr
+	c := crossing{rec: mgr.rec}
+	if c.rec != nil {
+		c.t0 = v.Clock().Now()
 		h.exch = 0
-		exchp = &h.exch
+		c.exch = &h.exch
 	}
 
 	// Slot-table lookup: hot attachments resolve for free; a cold one
@@ -328,22 +363,22 @@ func (h *Handle) CallArgs(v *cpu.VCPU, fnID uint64, args [4]uint64) (uint64, err
 	// crossing below then runs exactly like the hot case.
 	phys, err := h.ensureBacked(v)
 	if err != nil {
-		return 0, err
+		return c, err
 	}
 
 	// --- inbound: default -> gate -> sub ---
 	if err := v.FetchExec(h.gateGVA); err != nil {
-		return 0, err
+		return c, err
 	}
-	v.Charge(cost.GateCode) // spill registers, stash target slot
+	v.Charge(v.Cost().GateCode) // spill registers, stash target slot
 	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return 0, err
+		return c, err
 	}
-	if rec != nil {
-		tGate = v.Clock().Now()
+	if c.rec != nil {
+		c.tGate = v.Clock().Now()
 	}
 	if err := v.FetchExec(h.gateGVA); err != nil {
-		return 0, err
+		return c, err
 	}
 	// The gate validates the whole (vslot -> phys) binding against its
 	// grant table (in the gate-context stack page) before switching
@@ -351,19 +386,19 @@ func (h *Handle) CallArgs(v *cpu.VCPU, fnID uint64, args [4]uint64) (uint64, err
 	// without reaching any sub context.
 	if !mgr.gateAllowsBinding(h.g.vm.ID(), h.subIdx, phys) {
 		if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-			return 0, err
+			return c, err
 		}
-		if rec != nil {
+		if c.rec != nil {
 			now := v.Clock().Now()
-			h.recordSpan(rec, fnID, 1, true, t0, tGate, now, now, now, 0)
+			h.recordSpan(c.rec, spanFn, batch, true, c.t0, c.tGate, now, now, now, 0)
 		}
-		return 0, fmt.Errorf("core: gate refused slot %d for guest %q", h.subIdx, h.g.vm.Name())
+		return c, fmt.Errorf("core: gate refused slot %d for guest %q", h.subIdx, h.g.vm.Name())
 	}
 	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, phys); err != nil {
-		return 0, err
+		return c, err
 	}
-	if rec != nil {
-		tSub = v.Clock().Now()
+	if c.rec != nil {
+		c.tSub = v.Clock().Now()
 	}
 
 	// Fault injection: a guest that dies right here — inside the sub
@@ -373,47 +408,45 @@ func (h *Handle) CallArgs(v *cpu.VCPU, fnID uint64, args [4]uint64) (uint64, err
 	if inj := mgr.inj; inj != nil {
 		if in := inj.Fire(fault.PointGateEntry, h.g.vm.Name(), v.Clock().Now()); in != nil {
 			mgr.crashMidGate(h.g.vm, in)
-			return 0, fmt.Errorf("core: guest %q died in sub context: %w", h.g.vm.Name(), fault.ErrInjected)
+			return c, fmt.Errorf("core: guest %q died in sub context: %w", h.g.vm.Name(), fault.ErrInjected)
 		}
 	}
+	return c, nil
+}
 
-	// --- in the sub context: run the manager function ---
-	ret, fnErr := mgr.invoke(v, h, fnID, args, exchp)
-	if v.Dead() {
-		// The function faulted and the hypervisor killed the VM; there
-		// is no context to return to.
-		return 0, fnErr
-	}
-	if rec != nil {
+// leave is the outbound half of the crossing enter began: sub -> gate ->
+// default with the register restore and the epilogue fetch, then the
+// gate-exit epoch and the span of the whole round trip. Callers whose
+// vCPU died in the sub context skip it — there is no context to return
+// to, and the unmatched gate entry is what RecoverGuest keys on.
+func (h *Handle) leave(v *cpu.VCPU, c *crossing, spanFn uint64, batch int, errFlag bool) error {
+	var tFn simtime.Time
+	if c.rec != nil {
 		tFn = v.Clock().Now()
 	}
 
 	// --- outbound: sub -> gate -> default ---
 	if err := v.FetchExec(h.gateGVA); err != nil {
-		return 0, err
+		return err
 	}
 	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return 0, err
+		return err
 	}
 	if err := v.FetchExec(h.gateGVA); err != nil {
-		return 0, err
+		return err
 	}
-	v.Charge(cost.GateCode) // restore registers
+	v.Charge(v.Cost().GateCode) // restore registers
 	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-		return 0, err
+		return err
 	}
 	if err := v.FetchExec(h.gateGVA); err != nil { // epilogue + ret
-		return 0, err
+		return err
 	}
-	mgr.noteGateExit(h.g.vm.ID())
-	if rec != nil {
-		h.recordSpan(rec, fnID, 1, fnErr != nil, t0, tGate, tSub, tFn, v.Clock().Now(), h.exch)
+	h.g.mgr.noteGateExit(h.g.vm.ID())
+	if c.rec != nil {
+		h.recordSpan(c.rec, spanFn, batch, errFlag, c.t0, c.tGate, c.tSub, tFn, v.Clock().Now(), h.exch)
 	}
-	if fnErr != nil {
-		return ret, fnErr
-	}
-	v.Regs[cpu.RAX] = ret
-	return ret, nil
+	return nil
 }
 
 // recordSpan assembles a phase-decomposed span from the boundary
@@ -578,75 +611,24 @@ func (h *Handle) CallMulti(v *cpu.VCPU, reqs []Req) error {
 	if len(reqs) == 0 {
 		return ErrNoRequests
 	}
-	cost := v.Cost()
-	mgr := h.g.mgr
-
-	// Flight recorder (see Call): one span covers the whole batch, and
-	// each request's in-sub-context latency lands in its own series.
-	rec := mgr.rec
-	var t0, tGate, tSub, tFn simtime.Time
-	var exchp *simtime.Duration
-	if rec != nil {
-		t0 = v.Clock().Now()
-		h.exch = 0
-		exchp = &h.exch
-	}
-
-	// Slot-table lookup (identical to Call): cold batches pay one slot
-	// fault up front, then the whole batch runs hot.
-	phys, err := h.ensureBacked(v)
+	// One crossing for the whole batch: cold batches pay one slot fault
+	// up front, and crash-mid-gate fires before any request runs.
+	c, err := h.enter(v, reqs[0].Fn, len(reqs))
 	if err != nil {
 		return err
 	}
 
-	// Inbound crossing (identical to Call).
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	v.Charge(cost.GateCode)
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return err
-	}
-	if rec != nil {
-		tGate = v.Clock().Now()
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	if !mgr.gateAllowsBinding(h.g.vm.ID(), h.subIdx, phys) {
-		if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-			return err
-		}
-		if rec != nil {
-			now := v.Clock().Now()
-			h.recordSpan(rec, reqs[0].Fn, len(reqs), true, t0, tGate, now, now, now, 0)
-		}
-		return fmt.Errorf("core: gate refused slot %d for guest %q", h.subIdx, h.g.vm.Name())
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, phys); err != nil {
-		return err
-	}
-	if rec != nil {
-		tSub = v.Clock().Now()
-	}
-
-	// Fault injection (see Call): crash-mid-gate fires here too, before
-	// any request of the batch runs.
-	if inj := mgr.inj; inj != nil {
-		if in := inj.Fire(fault.PointGateEntry, h.g.vm.Name(), v.Clock().Now()); in != nil {
-			mgr.crashMidGate(h.g.vm, in)
-			return fmt.Errorf("core: guest %q died in sub context: %w", h.g.vm.Name(), fault.ErrInjected)
-		}
-	}
-
-	// Run the whole batch inside the sub context.
+	// Run the whole batch inside the sub context. The span covers the
+	// whole batch, and each request's in-sub-context latency lands in its
+	// own series.
+	rec := c.rec
 	anyErr := false
 	for i := range reqs {
 		var reqStart simtime.Time
 		if rec != nil {
 			reqStart = v.Clock().Now()
 		}
-		reqs[i].Ret, reqs[i].Err = mgr.invoke(v, h, reqs[i].Fn, reqs[i].Args, exchp)
+		reqs[i].Ret, reqs[i].Err = h.g.mgr.invoke(v, h, reqs[i].Fn, reqs[i].Args, c.exch)
 		if v.Dead() {
 			return reqs[i].Err
 		}
@@ -659,30 +641,5 @@ func (h *Handle) CallMulti(v *cpu.VCPU, reqs []Req) error {
 			rec.RecordLatency(h.g.vm.Name(), h.objName, reqs[i].Fn, v.Clock().Elapsed(reqStart))
 		}
 	}
-	if rec != nil {
-		tFn = v.Clock().Now()
-	}
-
-	// Outbound crossing.
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	v.Charge(cost.GateCode)
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-		return err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	mgr.noteGateExit(h.g.vm.ID())
-	if rec != nil {
-		h.recordSpan(rec, reqs[0].Fn, len(reqs), anyErr, t0, tGate, tSub, tFn, v.Clock().Now(), h.exch)
-	}
-	return nil
+	return h.leave(v, &c, reqs[0].Fn, len(reqs), anyErr)
 }

@@ -300,7 +300,7 @@ type retryEntry struct {
 // exit-less.
 func (h *Handle) Ring(v *cpu.VCPU, cfg RingConfig) (*RingCaller, error) {
 	if v != h.g.vm.VCPU() {
-		return nil, fmt.Errorf("core: Ring on foreign vCPU")
+		return nil, ErrForeignVCPU
 	}
 	if h.detached {
 		return nil, fmt.Errorf("core: Ring on detached handle %q", h.objName)
@@ -405,7 +405,7 @@ func (rc *RingCaller) Submit(v *cpu.VCPU, fnID uint64, args ...uint64) error {
 // Returns the trace the descriptor went out under.
 func (rc *RingCaller) SubmitDesc(v *cpu.VCPU, d shm.Desc) (uint64, error) {
 	if v != rc.h.g.vm.VCPU() {
-		return 0, fmt.Errorf("core: Submit on foreign vCPU")
+		return 0, ErrForeignVCPU
 	}
 	if d.Trace == 0 {
 		rc.traceSeq++
@@ -487,11 +487,9 @@ func (rc *RingCaller) SubmitDesc(v *cpu.VCPU, d shm.Desc) (uint64, error) {
 // (foreign vCPU, refused gate, fatal fault).
 func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 	if v != rc.h.g.vm.VCPU() {
-		return fmt.Errorf("core: Flush on foreign vCPU")
+		return ErrForeignVCPU
 	}
 	h := rc.h
-	mgr := h.g.mgr
-	cost := v.Cost()
 
 	// Peek from the default context: an empty queue (the poller won) means
 	// no crossing. The read is exit-less shared-memory traffic.
@@ -504,56 +502,10 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 		return nil
 	}
 
-	rec := mgr.rec
-	var t0, tGate, tSub, tFn simtime.Time
-	var exchp *simtime.Duration
-	if rec != nil {
-		t0 = v.Clock().Now()
-		h.exch = 0
-		exchp = &h.exch
-	}
-
-	phys, err := h.ensureBacked(v)
+	// The refusal span carries no function: nothing was popped yet.
+	c, err := h.enter(v, 0, queued)
 	if err != nil {
 		return err
-	}
-
-	// Inbound crossing (identical to Call/CallMulti).
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	v.Charge(cost.GateCode)
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return err
-	}
-	if rec != nil {
-		tGate = v.Clock().Now()
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	if !mgr.gateAllowsBinding(h.g.vm.ID(), h.subIdx, phys) {
-		if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-			return err
-		}
-		if rec != nil {
-			now := v.Clock().Now()
-			h.recordSpan(rec, 0, queued, true, t0, tGate, now, now, now, 0)
-		}
-		return fmt.Errorf("core: gate refused slot %d for guest %q", h.subIdx, h.g.vm.Name())
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, phys); err != nil {
-		return err
-	}
-	if rec != nil {
-		tSub = v.Clock().Now()
-	}
-
-	if inj := mgr.inj; inj != nil {
-		if in := inj.Fire(fault.PointGateEntry, h.g.vm.Name(), v.Clock().Now()); in != nil {
-			mgr.crashMidGate(h.g.vm, in)
-			return fmt.Errorf("core: guest %q died in sub context: %w", h.g.vm.Name(), fault.ErrInjected)
-		}
 	}
 
 	// Drain inside the sub context: the ring is mapped here at the same
@@ -562,22 +514,22 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 	// manager-side spinlock the real implementation would take.
 	rs := rc.rs
 	rs.drainMu.Lock()
-	v.Charge(cost.LockAcquire)
+	v.Charge(v.Cost().LockAcquire)
 	var firstFn uint64
 	var n int
 	var drainErr error
-	if rec != nil {
+	if c.rec != nil {
 		// Batch-granularity pprof label: the whole drain session is
 		// "service" in wall-clock profiles, matching the sim-time phase.
 		obs.WithPhase(obs.RingPhaseService.String(), func() {
-			firstFn, n, drainErr = rc.flushDrain(v, rec, tSub, exchp)
+			firstFn, n, drainErr = rc.flushDrain(v, c.rec, c.tSub, c.exch)
 		})
 	} else {
 		// Direct call, no closure: the recorder-off path is the one the
 		// zero-alloc pins measure.
-		firstFn, n, drainErr = rc.flushDrain(v, nil, tSub, exchp)
+		firstFn, n, drainErr = rc.flushDrain(v, nil, c.tSub, c.exch)
 	}
-	v.Charge(cost.LockRelease)
+	v.Charge(v.Cost().LockRelease)
 	rs.drainMu.Unlock()
 	// A forged ring header (ErrCorruptRing) fails the flush but is no
 	// reason to leave the guest in the sub context: take the outbound
@@ -590,30 +542,8 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 		rs.flushed.Add(uint64(n))
 		rs.recordBatch(n)
 	}
-	if rec != nil {
-		tFn = v.Clock().Now()
-	}
-
-	// Outbound crossing.
-	if err := v.FetchExec(h.gateGVA); err != nil {
+	if err := h.leave(v, &c, firstFn, n, false); err != nil {
 		return err
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	v.Charge(cost.GateCode)
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-		return err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	mgr.noteGateExit(h.g.vm.ID())
-	if rec != nil {
-		h.recordSpan(rec, firstFn, n, false, t0, tGate, tSub, tFn, v.Clock().Now(), h.exch)
 	}
 	rc.pending = 0
 	return drainErr
@@ -695,7 +625,7 @@ func (rc *RingCaller) flushDrain(v *cpu.VCPU, rec *obs.Recorder, tSub simtime.Ti
 // nothing left to retry against).
 func (rc *RingCaller) Poll(v *cpu.VCPU, out []shm.Comp) (int, error) {
 	if v != rc.h.g.vm.VCPU() {
-		return 0, fmt.Errorf("core: Poll on foreign vCPU")
+		return 0, ErrForeignVCPU
 	}
 	if rc.rs.dead.Load() {
 		// The attachment died (revoke, detach, MoveObject). failRing

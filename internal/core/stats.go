@@ -150,7 +150,13 @@ func (m *Manager) DescribeGuest(guest *hv.VM) (string, error) {
 	}
 	s := fmt.Sprintf("guest %q: gate@%#x, %d attachment(s), %d/%d slots backed, next vslot %d, faults=%d evictions=%d\n",
 		guest.Name(), uint64(gs.gateGPA), len(gs.attachments), len(gs.physAtt), gs.budget, firstSubIdx+len(gs.slots), gs.faults, gs.evictions)
-	for name, a := range gs.attachments {
+	// Walk the vslot-ordered slot table, not the name map, so identical
+	// runs print identically. It also holds detached and superseded
+	// attachments, which the name map no longer points at.
+	for _, a := range gs.slots {
+		if gs.attachments[a.obj.name] != a {
+			continue
+		}
 		state := "live"
 		if a.revoked {
 			state = "revoked"
@@ -160,7 +166,7 @@ func (m *Manager) DescribeGuest(guest *hv.VM) (string, error) {
 			phys = "unbacked"
 		}
 		s += fmt.Sprintf("  %-16s vslot %-3d %-9s obj@%#x exchange@%#x %s calls=%d errs=%d\n",
-			name, a.vslot, phys, uint64(a.obj.gpa), uint64(a.exchangeGPA), state, a.calls.Load(), a.fnErrors.Load())
+			a.obj.name, a.vslot, phys, uint64(a.obj.gpa), uint64(a.exchangeGPA), state, a.calls.Load(), a.fnErrors.Load())
 	}
 	return s, nil
 }

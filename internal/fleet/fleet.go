@@ -59,20 +59,15 @@ type Config struct {
 	// fleet's runs: the scheduler pumps asynchronous injections between
 	// events, repairs what they corrupt, and quarantines tenants they
 	// kill. The plan is part of the seed — the same (Seed, Faults) pair
-	// replays the identical fault and recovery trace.
+	// replays the identical fault and recovery trace. The fault pump and
+	// recovery sweep run once per Quantum while a plan is armed.
 	Faults *fault.Plan
-	// PumpEvery is the virtual-time period of the fault pump / recovery
-	// sweep while a plan is armed (default: the scheduling Quantum).
-	PumpEvery simtime.Duration
 	// RingDepth, when positive, switches every tenant's datapath from one
 	// gate crossing per op to the exit-less call ring: ops are enqueued as
 	// descriptors (power-of-two depth), and gate crossings happen only on
-	// the adaptive policy's terms. Zero keeps the per-call path.
+	// the adaptive policy's terms; a queued op waits at most one Quantum
+	// before its guest takes the gate. Zero keeps the per-call path.
 	RingDepth int
-	// RingDeadline is the tenants' adaptive batching deadline — the
-	// longest a queued op may wait before its guest takes the gate
-	// (default: the scheduling Quantum). Only meaningful with RingDepth.
-	RingDeadline simtime.Duration
 	// PollBudget bounds how many ring descriptors one manager poller pass
 	// services; the scheduler interleaves one pass per dispatched quantum
 	// so polling cannot starve the cores (default 64; negative disables
@@ -360,16 +355,8 @@ func New(h *hv.Hypervisor, mgr *core.Manager, cfg Config) (*Scheduler, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.PumpEvery <= 0 {
-		cfg.PumpEvery = cfg.Quantum
-	}
-	if cfg.RingDepth > 0 {
-		if cfg.RingDeadline <= 0 {
-			cfg.RingDeadline = cfg.Quantum
-		}
-		if cfg.PollBudget == 0 {
-			cfg.PollBudget = 64
-		}
+	if cfg.RingDepth > 0 && cfg.PollBudget == 0 {
+		cfg.PollBudget = 64
 	}
 	if cfg.Classes > MaxTenantClasses {
 		return nil, fmt.Errorf("fleet: %d priority classes exceeds the cap %d", cfg.Classes, MaxTenantClasses)
@@ -486,7 +473,7 @@ func (s *Scheduler) bringUp(verb string, spec TenantSpec, acct accounting) (*Ten
 		t.objIdx[obj] = len(t.handles)
 		t.handles = append(t.handles, h)
 		if s.cfg.RingDepth > 0 {
-			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.RingDeadline, Retry: ringRetry})
+			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.Quantum, Retry: ringRetry})
 			if err != nil {
 				return nil, fmt.Errorf("fleet: %s %q ring on %q: %w", verb, spec.Name, obj, err)
 			}
@@ -756,9 +743,9 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 				s.sweepDead()
 			}
 			s.pumpBreakers(now)
-			_, _ = sim.After(s.cfg.PumpEvery, pump)
+			_, _ = sim.After(s.cfg.Quantum, pump)
 		}
-		if _, err := sim.After(s.cfg.PumpEvery, pump); err != nil {
+		if _, err := sim.After(s.cfg.Quantum, pump); err != nil {
 			return nil, err
 		}
 	}

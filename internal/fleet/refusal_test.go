@@ -102,7 +102,7 @@ func TestFleetBreakerRungQuarantines(t *testing.T) {
 		if e.Kind != obs.EvBreaker || e.Guest != "q" || e.Note != "quarantined" {
 			t.Fatalf("unexpected overload event: %v", e)
 		}
-		if e.Time < trips[0].Time || e.Time >= trips[0].Time.Add(cooldown+s.cfg.PumpEvery) {
+		if e.Time < trips[0].Time || e.Time >= trips[0].Time.Add(cooldown+s.cfg.Quantum) {
 			t.Fatalf("quarantine refusal at %d outside the cooldown after the trip at %d", e.Time, trips[0].Time)
 		}
 		quarantined++
@@ -290,7 +290,7 @@ func TestFleetQuarantineSurvivesMigration(t *testing.T) {
 		switch dec.Verdict {
 		case overload.VerdictQuarantine:
 			quarantined++
-			if firstAdmit >= 0 || dec.At >= openUntil.Add(dst.cfg.PumpEvery) {
+			if firstAdmit >= 0 || dec.At >= openUntil.Add(dst.cfg.Quantum) {
 				t.Fatalf("quarantine refusal at %d after the cooldown ended at %d", dec.At, openUntil)
 			}
 		case overload.VerdictAdmit:
