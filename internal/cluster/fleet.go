@@ -63,11 +63,11 @@ type Fleet struct {
 	c   *Cluster
 	cfg FleetConfig
 
-	scheds      []*fleet.Scheduler // indexed by shard; nil until a tenant lands there
-	admissions  []admission        // global admission order
-	names       []string           // tenant names, parallel to admissions
-	tenantShard map[string]int     // tenant name -> owning shard (trace replay routing)
-	elapsed     simtime.Duration
+	scheds     []*fleet.Scheduler // indexed by shard; nil until a tenant lands there
+	admissions []admission        // global admission order
+	names      []string           // tenant names, parallel to admissions
+	tenantIdx  map[string]int     // tenant name -> index into admissions
+	elapsed    simtime.Duration
 
 	// rebalancer support: each tenant's working set and how many tenants
 	// use each object (only exclusively-owned sets may migrate).
@@ -111,7 +111,7 @@ func (c *Cluster) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		c:             c,
 		cfg:           cfg,
 		scheds:        make([]*fleet.Scheduler, len(c.shards)),
-		tenantShard:   make(map[string]int),
+		tenantIdx:     make(map[string]int),
 		tenantObjects: make(map[string][]string),
 		objUse:        make(map[string]int),
 	}
@@ -193,9 +193,9 @@ func (f *Fleet) Admit(spec fleet.TenantSpec) (int, error) {
 	if _, err := s.Admit(spec); err != nil {
 		return 0, err
 	}
+	f.tenantIdx[spec.Name] = len(f.admissions)
 	f.admissions = append(f.admissions, admission{shard: shard, idx: idx})
 	f.names = append(f.names, spec.Name)
-	f.tenantShard[spec.Name] = shard
 	f.tenantObjects[spec.Name] = append([]string(nil), spec.Objects...)
 	for _, obj := range spec.Objects {
 		f.objUse[obj]++
@@ -263,10 +263,15 @@ func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, e
 	if tr == nil {
 		return nil, fmt.Errorf("cluster: fleet replay needs a trace")
 	}
+	// Resolve every row's tenant once; routing then reads its current
+	// shard from admissions, which migration keeps up to date.
+	tenant := make([]int, len(tr.Events))
 	for i, ev := range tr.Events {
-		if _, ok := f.tenantShard[ev.Tenant]; !ok {
+		ti, ok := f.tenantIdx[ev.Tenant]
+		if !ok {
 			return nil, fmt.Errorf("cluster: replay event %d names unadmitted tenant %q", i, ev.Tenant)
 		}
+		tenant[i] = ti
 		if ev.At < 0 || simtime.Duration(ev.At) >= d {
 			return nil, fmt.Errorf("cluster: replay event %d at %d outside window [0,%d)", i, ev.At, d)
 		}
@@ -288,7 +293,7 @@ func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, e
 		for next < len(tr.Events) && simtime.Duration(tr.Events[next].At) < done+step {
 			ev := tr.Events[next]
 			ev.At -= simtime.Time(done) // shift to window-relative time
-			shard := f.tenantShard[ev.Tenant]
+			shard := f.admissions[tenant[next]].shard
 			perShard[shard] = append(perShard[shard], ev)
 			next++
 		}

@@ -278,10 +278,11 @@ func (f *Fleet) exclusiveObjects(name string) bool {
 // preserved: the tenant's admissions entry is repointed at the adopting
 // scheduler, so merged reports read one continuous tenant.
 func (f *Fleet) migrateTenant(name string, dst int) error {
-	src, ok := f.tenantShard[name]
+	ti, ok := f.tenantIdx[name]
 	if !ok {
 		return fmt.Errorf("cluster: migrate %q: not admitted", name)
 	}
+	src := f.admissions[ti].shard
 	if src == dst {
 		return fmt.Errorf("cluster: migrate %q: already on shard %d", name, dst)
 	}
@@ -307,13 +308,7 @@ func (f *Fleet) migrateTenant(name string, dst int) error {
 	if _, err := ds.Adopt(st); err != nil {
 		return err
 	}
-	for i, n := range f.names {
-		if n == name {
-			f.admissions[i] = admission{shard: dst, idx: idx}
-			break
-		}
-	}
-	f.tenantShard[name] = dst
+	f.admissions[ti] = admission{shard: dst, idx: idx}
 	f.c.rebalances++
 	return nil
 }

@@ -216,7 +216,7 @@ func TestEvictAdoptCarriesState(t *testing.T) {
 	if err := f.migrateTenant("rb-b", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.tenantShard["rb-b"]; got != 2 {
+	if got := f.admissions[f.tenantIdx["rb-b"]].shard; got != 2 {
 		t.Fatalf("rb-b on shard %d after migration, want 2", got)
 	}
 	if got := c.Owner("rb-obj-b"); got != 2 {

@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -509,7 +510,7 @@ func (s *Scheduler) Tenants() []*Tenant {
 func (s *Scheduler) Run(d simtime.Duration) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.runLocked(d, false, nil)
+	return s.runLocked(d, nil)
 }
 
 // Replay drives the fleet from a workload trace instead of the tenants'
@@ -528,6 +529,11 @@ func (s *Scheduler) Replay(events []workload.Event, d simtime.Duration) (*Report
 	for _, t := range s.tenants {
 		byName[t.spec.Name] = t
 	}
+	tr := &replayTrace{
+		due:  make([]simtime.Time, len(events)),
+		rows: make([]replayRow, len(events)),
+	}
+	sorted := true
 	for i, ev := range events {
 		t := byName[ev.Tenant]
 		if t == nil {
@@ -536,20 +542,53 @@ func (s *Scheduler) Replay(events []workload.Event, d simtime.Duration) (*Report
 		if t.migrated {
 			return nil, fmt.Errorf("fleet: replay event %d names migrated tenant %q (route it to the adopting scheduler)", i, ev.Tenant)
 		}
-		if _, ok := t.objIdx[ev.Object]; !ok {
+		obj, ok := t.objIdx[ev.Object]
+		if !ok {
 			return nil, fmt.Errorf("fleet: replay event %d: tenant %q has no attachment for object %q", i, ev.Tenant, ev.Object)
 		}
 		if ev.At < 0 || simtime.Duration(ev.At) >= d {
 			return nil, fmt.Errorf("fleet: replay event %d at %d outside window [0,%d)", i, ev.At, d)
 		}
+		tr.due[i] = ev.At
+		tr.rows[i] = replayRow{t: t, obj: obj, fn: ev.Fn}
+		sorted = sorted && (i == 0 || ev.At >= events[i-1].At)
 	}
-	return s.runLocked(d, true, events)
+	if !sorted {
+		sort.Stable(tr)
+	}
+	return s.runLocked(d, tr)
 }
 
-// runLocked is the shared simulation core behind Run (replay=false:
-// tenants' arrival processes self-schedule) and Replay (replay=true:
-// the pre-validated event list is the arrival source). Callers hold s.mu.
-func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload.Event) (*Report, error) {
+// replayTrace is a validated trace window: row i arrives at due[i],
+// already resolved to its tenant and handle, so the arrival path does
+// no name lookup. due is nondecreasing: Replay stable-sorts a trace
+// that is not.
+type replayTrace struct {
+	due  []simtime.Time
+	rows []replayRow
+}
+
+// replayRow is one trace row resolved against the scheduler.
+type replayRow struct {
+	t   *Tenant
+	obj int // index into t.handles
+	fn  uint64
+}
+
+// replayTrace sorts by arrival instant (sort.Stable keeps trace order
+// among equal instants, which is exactly the order the event heap gave
+// rows scheduled one by one in trace order).
+func (tr *replayTrace) Len() int           { return len(tr.due) }
+func (tr *replayTrace) Less(i, j int) bool { return tr.due[i] < tr.due[j] }
+func (tr *replayTrace) Swap(i, j int) {
+	tr.due[i], tr.due[j] = tr.due[j], tr.due[i]
+	tr.rows[i], tr.rows[j] = tr.rows[j], tr.rows[i]
+}
+
+// runLocked is the shared simulation core behind Run (tr == nil:
+// tenants' arrival processes self-schedule) and Replay (the validated
+// trace window is the simulation's arrival source). Callers hold s.mu.
+func (s *Scheduler) runLocked(d simtime.Duration, tr *replayTrace) (*Report, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("fleet: run duration %d must be positive", d)
 	}
@@ -567,6 +606,14 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 	// dispatch hands every idle core the min-pass runnable tenant and
 	// runs one quantum's worth of its queue as back-to-back calls.
 	var dispatch func(now simtime.Time)
+	// release[i] frees core i at the end of its quantum and re-dispatches.
+	release := make([]func(simtime.Time), s.cfg.Cores)
+	for i := range release {
+		release[i] = func(now simtime.Time) {
+			idle[i] = true
+			dispatch(now)
+		}
+	}
 	dispatch = func(now simtime.Time) {
 		for {
 			coreID := -1
@@ -597,7 +644,7 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 			var spent simtime.Duration
 			for len(t.queue) > 0 && spent < s.cfg.Quantum {
 				op := t.queue[0]
-				t.queue = t.queue[1:]
+				t.queue = popFront(t.queue)
 				// Generated load cycles handles round-robin (obj < 0);
 				// trace replay targets the handle the trace row named and
 				// leaves the cursor alone.
@@ -655,12 +702,8 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 			t.pass += t.stride
 			t.coreTime += spent
 			idle[coreID] = false
-			id := coreID
-			if _, err := sim.After(spent, func(now2 simtime.Time) {
-				idle[id] = true
-				dispatch(now2)
-			}); err != nil {
-				idle[id] = true // negative-delay can't happen; keep the core alive
+			if err := sim.After(spent, release[coreID]); err != nil {
+				idle[coreID] = true // negative-delay can't happen; keep the core alive
 			}
 		}
 	}
@@ -682,31 +725,23 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 		}
 	}
 
-	if replay {
-		// Trace-driven arrivals: every event is pre-scheduled at its
-		// recorded instant, targeting the handle and fn the row named.
-		byName := make(map[string]*Tenant, len(s.tenants))
-		for _, t := range s.tenants {
-			byName[t.spec.Name] = t
-		}
-		for _, ev := range events {
-			t := byName[ev.Tenant]
-			obj := t.objIdx[ev.Object]
-			fn := ev.Fn
-			if _, err := sim.At(simtime.Time(ev.At), func(now simtime.Time) {
-				if t.crashed {
-					return // arrivals to a dead tenant evaporate
-				}
-				admit(t, now, pendingOp{arrived: now, obj: obj, fn: fn})
-			}); err != nil {
-				return nil, err
+	if tr != nil {
+		// Trace-driven arrivals: the trace window is the simulation's
+		// arrival source, each row targeting the handle and fn it named.
+		if err := sim.Feed(tr.due, func(i int, now simtime.Time) {
+			r := &tr.rows[i]
+			if r.t.crashed {
+				return // arrivals to a dead tenant evaporate
 			}
+			admit(r.t, now, pendingOp{arrived: now, obj: r.obj, fn: r.fn})
+		}); err != nil {
+			return nil, err
 		}
 	} else {
 		// One self-rescheduling arrival chain per tenant.
-		var arrive func(t *Tenant) func(now simtime.Time)
-		arrive = func(t *Tenant) func(now simtime.Time) {
-			return func(now simtime.Time) {
+		arrive := make([]func(simtime.Time), len(s.tenants))
+		for i, t := range s.tenants {
+			arrive[i] = func(now simtime.Time) {
 				if t.crashed {
 					return // a dead tenant's arrival chain ends
 				}
@@ -714,14 +749,14 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 					return
 				}
 				admit(t, now, pendingOp{arrived: now, obj: -1, fn: t.spec.Fn})
-				_, _ = sim.After(t.arrival.NextInterval(), arrive(t))
+				_ = sim.After(t.arrival.NextInterval(), arrive[i])
 			}
 		}
-		for _, t := range s.tenants {
+		for i, t := range s.tenants {
 			if t.migrated {
 				continue // a stub has no arrival process — it moved with the tenant
 			}
-			if _, err := sim.After(t.arrival.NextInterval(), arrive(t)); err != nil {
+			if err := sim.After(t.arrival.NextInterval(), arrive[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -743,9 +778,9 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 				s.sweepDead()
 			}
 			s.pumpBreakers(now)
-			_, _ = sim.After(s.cfg.Quantum, pump)
+			_ = sim.After(s.cfg.Quantum, pump)
 		}
-		if _, err := sim.After(s.cfg.Quantum, pump); err != nil {
+		if err := sim.After(s.cfg.Quantum, pump); err != nil {
 			return nil, err
 		}
 	}
@@ -867,7 +902,7 @@ func (s *Scheduler) harvestTenant(t *Tenant, now simtime.Time) simtime.Duration 
 					continue
 				}
 				arrived := t.ringPend[i][0]
-				t.ringPend[i] = t.ringPend[i][1:]
+				t.ringPend[i] = popFront(t.ringPend[i])
 				if comps[j].Status == shm.CompBusy {
 					s.record(t, now, overload.VerdictBusy, "ring-busy")
 					continue
@@ -911,6 +946,14 @@ func (s *Scheduler) drainTenantRings(now simtime.Time) {
 			s.harvestTenant(t, now)
 		}
 	}
+}
+
+// popFront drops q's head by shifting the rest down, so the queue keeps
+// its backing array and a steady enqueue/dequeue rhythm allocates
+// nothing (re-slicing from the front would regrow it every few ops).
+// Queues are bounded by QueueDepth and RingDepth, so the shift is short.
+func popFront[T any](q []T) []T {
+	return q[:copy(q, q[1:])]
 }
 
 // ringPending counts ops submitted to rings whose completions have not

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -179,5 +182,42 @@ func TestReplayTargetsTraceObject(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%v", touched); got != "[4 2 4]" {
 		t.Fatalf("touched page counts %s, want [4 2 4] (the trace's object order)", got)
+	}
+}
+
+// TestReplayUnsortedTraceMatchesStableSort: rows permuted within and
+// across instants replay to the report and decisions of the same rows
+// stable-sorted by instant — Replay's own sort keeps the order the event
+// heap gave rows scheduled one by one, equal instants in trace order.
+func TestReplayUnsortedTraceMatchesStableSort(t *testing.T) {
+	tr, err := workload.RegressionTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Coarsen the instants so many rows share one, then shuffle.
+	shuffled := append([]workload.Event(nil), tr.Events...)
+	for i := range shuffled {
+		shuffled[i].At -= shuffled[i].At % 2000
+	}
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	sorted := append([]workload.Event(nil), shuffled...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+	if reflect.DeepEqual(sorted, shuffled) {
+		t.Fatal("the shuffle left the trace sorted")
+	}
+	run := func(evs []workload.Event) (string, string) {
+		d := overload.NewDecisionTrace(0)
+		s := replayRig(t, Config{Seed: 42, Cores: 2, QueueDepth: 32, Classes: 3, Decisions: d})
+		rep, err := s.Replay(evs, workload.RegressionHorizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Table().String(), d.Summary()
+	}
+	t1, d1 := run(shuffled)
+	t2, d2 := run(sorted)
+	if t1 != t2 || d1 != d2 {
+		t.Fatalf("shuffled trace diverged from its stable sort:\n%s\n%s\nvs\n%s\n%s", t1, d1, t2, d2)
 	}
 }

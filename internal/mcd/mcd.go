@@ -183,12 +183,14 @@ func runPoint(seed int64, ratePerSec float64, service simtime.Duration, n int) (
 	if err != nil {
 		return nil, err
 	}
+	due := make([]simtime.Time, n)
 	t := simtime.Time(0)
-	for i := 0; i < n; i++ {
+	for i := range due {
 		t = t.Add(arrivals.NextInterval())
-		if _, err := sim.At(t, func(simtime.Time) { q.Enqueue(1) }); err != nil {
-			return nil, err
-		}
+		due[i] = t
+	}
+	if err := sim.Feed(due, func(int, simtime.Time) { q.Enqueue(1) }); err != nil {
+		return nil, err
 	}
 	sim.Run()
 	if lat.Count() != int64(n) {

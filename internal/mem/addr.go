@@ -1,6 +1,9 @@
 // Package mem models the host physical memory of the simulated machine:
 // 4 KiB frames handed out by a frame allocator, addressed by typed
-// physical/guest-physical/guest-virtual addresses.
+// physical/guest-physical/guest-virtual addresses. Frames are backed by
+// host memory lazily, on first write, so a machine costs what its
+// guests have written rather than its size; a frame nobody has written
+// reads as zeros.
 //
 // Every byte that the ELISA reproduction shares between VMs lives in this
 // memory; guests reach it only through EPT translations (package ept) via

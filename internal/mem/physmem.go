@@ -3,13 +3,33 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
+// chunk is the host memory behind one backed frame.
+type chunk [PageSize]byte
+
 // PhysMem is the host physical memory of the simulated machine: a fixed
-// number of 4 KiB frames plus a free-list allocator. The hypervisor owns
-// the only reference; everyone else sees slices of it through translations.
+// number of 4 KiB frames, a frame allocator, and host memory that
+// follows the frames that have been written rather than the machine's
+// size. The hypervisor owns the only reference; everyone else sees
+// slices of it through translations.
+//
+// Frames are backed lazily. A page directory holds one chunk pointer per
+// frame; the first write to a frame backs it, and a read of a frame
+// nobody has written returns zeros. Chunks are carved from slabs of 64,
+// so first writes cost one host allocation per 256 KiB. FreeFrame takes
+// the frame's chunk back, zeroes it and keeps it for the next first
+// write, so AllocFrame still hands out zeroed memory and allocation
+// churn allocates nothing.
+//
+// The allocator hands frames out in a fixed order: the most recently
+// freed frame first (a LIFO stack), then the lowest frame never handed
+// out (a bump pointer that skips frames AllocFramesContiguous claimed
+// ahead of it). Layouts are therefore deterministic, which makes
+// failures reproducible.
 //
 // Accesses are bounds-checked against the physical size; an out-of-range
 // access is a bug in the caller (the hypervisor or a device model), not a
@@ -23,14 +43,31 @@ import (
 // reading the frame: any write that its read misses then sets the bit
 // again, so the next TakeDirty or Dirty reports it. Clearing is
 // destructive, so each frame has at most one observer; today that is the
-// manager poller, on the header frame of every call ring.
+// manager poller, on the header frame of every call ring. Zero marks the
+// frames it covers even where they are unbacked (and leaves them so);
+// FreeFrame's scrub is not a write and marks nothing.
+//
+// Reads and writes may run concurrently with each other; allocation and
+// freeing are serialised by the caller (the hypervisor's lock).
 type PhysMem struct {
-	data   []byte
+	// frames and dirty lead: the poller's Dirty reads nothing else.
 	frames int
-	free   []HFN // LIFO free list
-	inUse  map[HFN]bool
-	dirty  []uint64 // bit f%64 of word f/64: frame f written since its last TakeDirty
+	dirty  []uint64                // bit f%64 of word f/64: frame f written since its last TakeDirty
+	dir    []atomic.Pointer[chunk] // frame -> its bytes; nil reads as zeros
+	used   []uint64                // bit per frame: allocated (frame 0 always)
+	ahead  []uint64                // bit per frame: claimed by AllocFramesContiguous before the bump pointer reached it
+	bump   HFN                     // lowest frame AllocFrame has not yet handed out in ascending order
+	freed  []HFN                   // LIFO stack of freed frames, handed out before the bump pointer moves
+	nfree  int
+
+	spareMu sync.Mutex
+	spare   []*chunk // zeroed chunks taken back by FreeFrame, reused by the next first write
+	slab    []chunk  // zeroed chunks carved from the last host allocation, not yet used
 }
+
+// slabChunks is how many chunks one host allocation carves: first writes
+// cost one allocation per 64 frames (256 KiB), not one per frame.
+const slabChunks = 64
 
 // NewPhysMem creates a physical memory of the given size, which must be a
 // positive multiple of PageSize.
@@ -42,21 +79,20 @@ func NewPhysMem(size int) (*PhysMem, error) {
 	if frames < 2 {
 		return nil, fmt.Errorf("mem: physical size %d leaves no allocatable frames (frame 0 is reserved)", size)
 	}
+	words := (frames + 63) / 64
 	pm := &PhysMem{
-		data:   make([]byte, size),
 		frames: frames,
-		free:   make([]HFN, 0, frames-1),
-		inUse:  map[HFN]bool{0: true},
-		dirty:  make([]uint64, (frames+63)/64),
+		dir:    make([]atomic.Pointer[chunk], frames),
+		used:   make([]uint64, words),
+		dirty:  make([]uint64, words),
+		ahead:  make([]uint64, words),
+		bump:   1,
+		nfree:  frames - 1,
 	}
 	// Frame 0 is permanently reserved (like firmware-reserved low memory)
 	// so that physical address 0 is never a valid EPT root or EPTP-list
 	// page — 0 doubles as the nil/revoked sentinel throughout the model.
-	// Push the rest so that allocation order is ascending (frame 1 first):
-	// deterministic layouts make failures reproducible.
-	for f := frames - 1; f >= 1; f-- {
-		pm.free = append(pm.free, HFN(f))
-	}
+	pm.used[0] = 1
 	return pm, nil
 }
 
@@ -71,27 +107,31 @@ func MustNewPhysMem(size int) *PhysMem {
 }
 
 // Size returns the physical memory size in bytes.
-func (pm *PhysMem) Size() int { return len(pm.data) }
+func (pm *PhysMem) Size() int { return pm.frames * PageSize }
 
 // Frames returns the total number of frames.
 func (pm *PhysMem) Frames() int { return pm.frames }
 
 // FreeFrames returns the number of currently unallocated frames.
-func (pm *PhysMem) FreeFrames() int { return len(pm.free) }
+func (pm *PhysMem) FreeFrames() int { return pm.nfree }
 
 // AllocFrame allocates one zeroed frame.
 func (pm *PhysMem) AllocFrame() (HFN, error) {
-	if len(pm.free) == 0 {
+	if pm.nfree == 0 {
 		return 0, fmt.Errorf("mem: out of physical frames (%d total)", pm.frames)
 	}
-	f := pm.free[len(pm.free)-1]
-	pm.free = pm.free[:len(pm.free)-1]
-	pm.inUse[f] = true
-	// Frames are handed out zeroed, like a real host's page allocator
-	// must for isolation.
-	base := int(f) * PageSize
-	clear(pm.data[base : base+PageSize])
-	pm.markFrame(f)
+	var f HFN
+	if n := len(pm.freed); n > 0 {
+		f = pm.freed[n-1]
+		pm.freed = pm.freed[:n-1]
+	} else {
+		for testBit(pm.ahead, pm.bump) {
+			pm.bump++
+		}
+		f = pm.bump
+		pm.bump++
+	}
+	pm.claim(f)
 	return f, nil
 }
 
@@ -100,25 +140,85 @@ func (pm *PhysMem) AllocFrames(n int) ([]HFN, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("mem: AllocFrames(%d): negative count", n)
 	}
-	if len(pm.free) < n {
-		return nil, fmt.Errorf("mem: out of physical frames: need %d, have %d", n, len(pm.free))
+	if pm.nfree < n {
+		return nil, fmt.Errorf("mem: out of physical frames: need %d, have %d", n, pm.nfree)
 	}
 	out := make([]HFN, n)
 	for i := range out {
-		f, err := pm.AllocFrame()
-		if err != nil { // unreachable given the check above
-			for _, g := range out[:i] {
-				pm.FreeFrame(g)
-			}
-			return nil, err
-		}
-		out[i] = f
+		out[i], _ = pm.AllocFrame() // cannot fail: n frames are free
 	}
 	return out, nil
 }
 
-// FreeFrame returns a frame to the allocator. Freeing an unallocated frame
-// is a double-free bug and returns an error.
+// AllocFramesContiguous allocates n physically contiguous frames whose
+// first frame number is a multiple of align (in frames). Huge-page
+// mappings need this: a 2 MiB EPT entry covers 512 consecutive, aligned
+// host frames. Returns the frames in ascending order, zeroed; the run is
+// the lowest free one.
+func (pm *PhysMem) AllocFramesContiguous(n, align int) ([]HFN, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("mem: AllocFramesContiguous(%d): count must be positive", n)
+	}
+	if align <= 0 {
+		align = 1
+	}
+	for base := align; base+n <= pm.frames; base += align {
+		if u := pm.firstUsed(HFN(base), n); u >= 0 {
+			base = u - u%align // the next candidate starts past frame u
+			continue
+		}
+		out := make([]HFN, n)
+		stacked := false
+		for i := range out {
+			f := HFN(base + i)
+			out[i] = f
+			if f >= pm.bump && !testBit(pm.ahead, f) {
+				setPlainBit(pm.ahead, f) // the bump pointer will skip it
+			} else {
+				stacked = true // a free frame the bump pointer passed sits on the stack
+			}
+			pm.claim(f)
+		}
+		if stacked {
+			kept := pm.freed[:0]
+			for _, f := range pm.freed {
+				if f < out[0] || f > out[n-1] {
+					kept = append(kept, f)
+				}
+			}
+			pm.freed = kept
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("mem: no contiguous run of %d frames aligned to %d", n, align)
+}
+
+// firstUsed returns the first allocated frame in [base, base+n), or -1.
+func (pm *PhysMem) firstUsed(base HFN, n int) int {
+	for f := base; f < base+HFN(n); f++ {
+		if testBit(pm.used, f) {
+			return int(f)
+		}
+	}
+	return -1
+}
+
+// claim marks free frame f allocated and hands it out zeroed and dirty.
+// A frame is normally unbacked here (FreeFrame took its chunk), but a
+// caller may have written a frame it never allocated.
+func (pm *PhysMem) claim(f HFN) {
+	setPlainBit(pm.used, f)
+	pm.nfree--
+	if c := pm.dir[f].Load(); c != nil {
+		clear(c[:])
+	}
+	pm.markFrame(f)
+}
+
+// FreeFrame returns a frame to the allocator and scrubs it: its chunk
+// goes back, zeroed, for reuse, and the frame reads as zeros until it
+// is written again. Freeing an unallocated frame is a double-free bug
+// and returns an error.
 func (pm *PhysMem) FreeFrame(f HFN) error {
 	if int(f) >= pm.frames {
 		return fmt.Errorf("mem: FreeFrame(%d): beyond physical memory", f)
@@ -126,26 +226,79 @@ func (pm *PhysMem) FreeFrame(f HFN) error {
 	if f == 0 {
 		return fmt.Errorf("mem: FreeFrame(0): frame 0 is permanently reserved")
 	}
-	if !pm.inUse[f] {
+	if !testBit(pm.used, f) {
 		return fmt.Errorf("mem: FreeFrame(%d): frame is not allocated", f)
 	}
-	delete(pm.inUse, f)
-	pm.free = append(pm.free, f)
+	pm.used[f/64] &^= 1 << (f % 64)
+	pm.nfree++
+	pm.freed = append(pm.freed, f)
+	if c := pm.dir[f].Swap(nil); c != nil {
+		clear(c[:])
+		pm.spareMu.Lock()
+		pm.spare = append(pm.spare, c)
+		pm.spareMu.Unlock()
+	}
 	return nil
 }
 
 // InUse reports whether frame f is currently allocated.
-func (pm *PhysMem) InUse(f HFN) bool { return pm.inUse[f] }
+func (pm *PhysMem) InUse(f HFN) bool { return int(f) < pm.frames && testBit(pm.used, f) }
+
+// backed returns frame f's chunk, backing the frame if this is its
+// first write.
+func (pm *PhysMem) backed(f HFN) *chunk {
+	if c := pm.dir[f].Load(); c != nil {
+		return c
+	}
+	return pm.back(f)
+}
+
+// back backs frame f with a spare chunk or one carved from a slab.
+// Writers racing to back the same frame agree on one chunk: the loser's
+// chunk, still zero, goes back to the spares.
+func (pm *PhysMem) back(f HFN) *chunk {
+	for {
+		if c := pm.dir[f].Load(); c != nil {
+			return c
+		}
+		var c *chunk
+		pm.spareMu.Lock()
+		if n := len(pm.spare); n > 0 {
+			c = pm.spare[n-1]
+			pm.spare[n-1] = nil
+			pm.spare = pm.spare[:n-1]
+		} else {
+			if len(pm.slab) == 0 {
+				pm.slab = make([]chunk, min(slabChunks, pm.frames))
+			}
+			c = &pm.slab[0]
+			pm.slab = pm.slab[1:]
+		}
+		pm.spareMu.Unlock()
+		if pm.dir[f].CompareAndSwap(nil, c) {
+			return c
+		}
+		pm.spareMu.Lock()
+		pm.spare = append(pm.spare, c)
+		pm.spareMu.Unlock()
+	}
+}
 
 func (pm *PhysMem) check(addr HPA, n int) error {
 	if n < 0 {
 		return fmt.Errorf("mem: negative length %d at %v", n, addr)
 	}
 	end := uint64(addr) + uint64(n)
-	if end > uint64(len(pm.data)) || end < uint64(addr) {
-		return fmt.Errorf("mem: access [%v, +%d) beyond physical memory size %d", addr, n, len(pm.data))
+	if end > uint64(pm.Size()) || end < uint64(addr) {
+		return fmt.Errorf("mem: access [%v, +%d) beyond physical memory size %d", addr, n, pm.Size())
 	}
 	return nil
+}
+
+// span returns the length of the piece of [addr, addr+n) that lies in
+// addr's frame.
+func span(addr HPA, n int) int {
+	return min(n, PageSize-int(addr.Offset()))
 }
 
 // Read copies len(p) bytes starting at addr into p.
@@ -153,8 +306,23 @@ func (pm *PhysMem) Read(addr HPA, p []byte) error {
 	if err := pm.check(addr, len(p)); err != nil {
 		return err
 	}
-	copy(p, pm.data[addr:])
+	pm.read(addr, p)
 	return nil
+}
+
+// read is Read after the bounds check: frame by frame, zeros where a
+// frame is unbacked.
+func (pm *PhysMem) read(addr HPA, p []byte) {
+	for len(p) > 0 {
+		k := span(addr, len(p))
+		if c := pm.dir[addr.Frame()].Load(); c != nil {
+			copy(p[:k], c[addr.Offset():])
+		} else {
+			clear(p[:k])
+		}
+		p = p[k:]
+		addr += HPA(k)
+	}
 }
 
 // Write copies p into physical memory starting at addr.
@@ -162,9 +330,21 @@ func (pm *PhysMem) Write(addr HPA, p []byte) error {
 	if err := pm.check(addr, len(p)); err != nil {
 		return err
 	}
-	copy(pm.data[addr:], p)
-	pm.mark(addr, len(p))
+	pm.write(addr, p)
 	return nil
+}
+
+// write is Write after the bounds check: it backs each frame it touches
+// and marks it dirty once the bytes have landed.
+func (pm *PhysMem) write(addr HPA, p []byte) {
+	for len(p) > 0 {
+		k := span(addr, len(p))
+		f := addr.Frame()
+		copy(pm.backed(f)[addr.Offset():], p[:k])
+		pm.markFrame(f)
+		p = p[k:]
+		addr += HPA(k)
+	}
 }
 
 // ReadU64 reads a little-endian 64-bit word. Naturally aligned accesses
@@ -177,9 +357,15 @@ func (pm *PhysMem) ReadU64(addr HPA) (uint64, error) {
 		return 0, err
 	}
 	if addr%8 == 0 {
-		return atomic.LoadUint64((*uint64)(unsafe.Pointer(&pm.data[addr]))), nil
+		c := pm.dir[addr.Frame()].Load()
+		if c == nil {
+			return 0, nil
+		}
+		return atomic.LoadUint64((*uint64)(unsafe.Pointer(&c[addr.Offset()]))), nil
 	}
-	return binary.LittleEndian.Uint64(pm.data[addr:]), nil
+	var b [8]byte
+	pm.read(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian 64-bit word; naturally aligned writes
@@ -188,12 +374,15 @@ func (pm *PhysMem) WriteU64(addr HPA, v uint64) error {
 	if err := pm.check(addr, 8); err != nil {
 		return err
 	}
-	if addr%8 == 0 {
-		atomic.StoreUint64((*uint64)(unsafe.Pointer(&pm.data[addr])), v)
-	} else {
-		binary.LittleEndian.PutUint64(pm.data[addr:], v)
+	if addr%8 != 0 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		pm.write(addr, b[:])
+		return nil
 	}
-	pm.mark(addr, 8)
+	f := addr.Frame()
+	atomic.StoreUint64((*uint64)(unsafe.Pointer(&pm.backed(f)[addr.Offset()])), v)
+	pm.markFrame(f)
 	return nil
 }
 
@@ -202,7 +391,9 @@ func (pm *PhysMem) ReadU32(addr HPA) (uint32, error) {
 	if err := pm.check(addr, 4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(pm.data[addr:]), nil
+	var b [4]byte
+	pm.read(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 // WriteU32 writes a little-endian 32-bit word.
@@ -210,84 +401,36 @@ func (pm *PhysMem) WriteU32(addr HPA, v uint32) error {
 	if err := pm.check(addr, 4); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(pm.data[addr:], v)
-	pm.mark(addr, 4)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	pm.write(addr, b[:])
 	return nil
 }
 
-// Zero clears n bytes starting at addr.
+// Zero clears n bytes starting at addr. It marks every frame it covers
+// but backs none: an unbacked frame already reads as zeros.
 func (pm *PhysMem) Zero(addr HPA, n int) error {
 	if err := pm.check(addr, n); err != nil {
 		return err
 	}
-	clear(pm.data[addr : uint64(addr)+uint64(n)])
-	pm.mark(addr, n)
+	for n > 0 {
+		k := span(addr, n)
+		f := addr.Frame()
+		if c := pm.dir[f].Load(); c != nil {
+			clear(c[addr.Offset() : addr.Offset()+uint64(k)])
+		}
+		pm.markFrame(f)
+		n -= k
+		addr += HPA(k)
+	}
 	return nil
 }
 
-// AllocFramesContiguous allocates n physically contiguous frames whose
-// first frame number is a multiple of align (in frames). Huge-page
-// mappings need this: a 2 MiB EPT entry covers 512 consecutive, aligned
-// host frames. Returns the frames in ascending order, zeroed.
-func (pm *PhysMem) AllocFramesContiguous(n, align int) ([]HFN, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("mem: AllocFramesContiguous(%d): count must be positive", n)
-	}
-	if align <= 0 {
-		align = 1
-	}
-	inFree := make(map[HFN]bool, len(pm.free))
-	for _, f := range pm.free {
-		inFree[f] = true
-	}
-	for base := align; base+n <= pm.frames; base += align {
-		run := true
-		for i := 0; i < n; i++ {
-			if !inFree[HFN(base+i)] {
-				run = false
-				break
-			}
-		}
-		if !run {
-			continue
-		}
-		// Claim the run: remove from the free list, mark in use, zero.
-		claim := make(map[HFN]bool, n)
-		out := make([]HFN, n)
-		for i := 0; i < n; i++ {
-			f := HFN(base + i)
-			claim[f] = true
-			out[i] = f
-			pm.inUse[f] = true
-		}
-		kept := pm.free[:0]
-		for _, f := range pm.free {
-			if !claim[f] {
-				kept = append(kept, f)
-			}
-		}
-		pm.free = kept
-		start := base * PageSize
-		clear(pm.data[start : start+n*PageSize])
-		for _, f := range out {
-			pm.markFrame(f)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("mem: no contiguous run of %d frames aligned to %d", n, align)
-}
+// testBit reports bit f of bitmap b.
+func testBit(b []uint64, f HFN) bool { return b[f/64]&(1<<(f%64)) != 0 }
 
-// mark sets the dirty bit of every frame [addr, addr+n) touches; n == 0
-// touches none. Callers have bounds-checked the range and stored the
-// bytes first (see PhysMem).
-func (pm *PhysMem) mark(addr HPA, n int) {
-	if n == 0 {
-		return
-	}
-	for f, last := addr.Frame(), (addr + HPA(n) - 1).Frame(); f <= last; f++ {
-		pm.markFrame(f)
-	}
-}
+// setPlainBit sets bit f of a bitmap only the allocator touches.
+func setPlainBit(b []uint64, f HFN) { b[f/64] |= 1 << (f % 64) }
 
 // markFrame sets frame f's dirty bit. The common case — the bit is
 // already set because nobody has taken it since the last write — is one

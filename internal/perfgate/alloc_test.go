@@ -159,3 +159,26 @@ func TestZeroAllocLaneRingDrain(t *testing.T) {
 		t.Fatalf("manager-poller drain over 47 idle rings allocates %v per 32-op batch, want 0", n)
 	}
 }
+
+// TestZeroAllocFleetSteadyState: once its queues, rings and histograms
+// have grown to working size, a fleet run allocates only its report —
+// nothing per scheduled op (no event, closure or queue regrowth).
+func TestZeroAllocFleetSteadyState(t *testing.T) {
+	run, err := prepareFleetMix(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, _, err := run() // warm-up window
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := testing.AllocsPerRun(3, func() {
+		if _, _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perOp := perRun / float64(ops); perOp > 0.05 {
+		t.Fatalf("fleet run allocates %v per run, %.3f per op, want < 0.05 per op", perRun, perOp)
+	}
+	t.Logf("%v allocs per run of ~%d ops", perRun, ops)
+}

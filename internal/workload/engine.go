@@ -48,8 +48,20 @@ func Generate(specs []Spec, seed int64, horizon simtime.Duration) (*Trace, error
 		ln.next = simtime.Time(0).Add(arr.NextInterval())
 		lanes = append(lanes, ln)
 	}
+	// Size the trace for the specs' mean rates over the horizon (capped
+	// by Ops) plus a margin, so appends rarely regrow it. The guess
+	// changes capacity only, never the events, and is bounded so that an
+	// absurd rate cannot reserve memory up front.
+	var expect float64
+	for _, ln := range lanes {
+		n := meanOPS(ln.arrival, ln.spec) * horizon.Seconds()
+		if ln.spec.Ops > 0 {
+			n = min(n, float64(ln.spec.Ops))
+		}
+		expect += n
+	}
 	end := simtime.Time(0).Add(horizon)
-	tr := &Trace{}
+	tr := &Trace{Events: make([]Event, 0, int(min(expect*1.0625, 1<<22))+16)}
 	for {
 		var pick *lane
 		for _, ln := range lanes {
@@ -82,4 +94,13 @@ func Generate(specs []Spec, seed int64, horizon simtime.Duration) (*Trace, error
 		pick.emitted++
 		pick.next = pick.next.Add(pick.arrival.NextInterval())
 	}
+}
+
+// meanOPS is an arrival process's long-run mean rate: MMPP reports its
+// dwell-weighted mean; for Poisson and Diurnal it is the spec's rate.
+func meanOPS(arr Arrival, sp *Spec) float64 {
+	if m, ok := arr.(*MMPP); ok {
+		return m.MeanOPS()
+	}
+	return sp.RateOPS
 }
